@@ -20,7 +20,6 @@ from . import descriptors as desc
 from . import network as net
 from . import pooling as poolmod
 from .data import SyntheticSpec, generate_synthetic
-from .training import TrainConfig  # noqa: F401  (re-export for config plumbing)
 
 PHASES = ("descriptor", "conv", "pool")
 

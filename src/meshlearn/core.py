@@ -289,15 +289,14 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
 
     Report-based: nothing raises, every violated invariant is listed.
     """
-    V, F = mesh.num_vertices, mesh.num_faces
-    invalid = []
-    for i, f in enumerate(mesh.faces):
-        if (f < 0).any() or (f >= V).any() or len(set(f.tolist())) != 3:
-            invalid.append(i)
-    ok_faces = np.ones(F, dtype=bool)
-    ok_faces[invalid] = False
-    faces = mesh.faces[ok_faces]
+    V = mesh.num_vertices
+    f = mesh.faces
+    bad = (((f < 0) | (f >= V)).any(axis=1) | (f[:, 0] == f[:, 1])
+           | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0]))
+    kept = np.flatnonzero(~bad)
+    faces = f[kept]
 
+    # edges as packed keys u * V + w; key order is (u, w) row order
     directed = _directed_edges(faces)
     und = np.sort(directed, axis=1)
     manifold = True
@@ -305,23 +304,22 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     nonmanifold: list[tuple[int, int]] = []
     borders = 0
     if len(und):
-        uniq, counts = np.unique(und, axis=0, return_counts=True)
+        uniq, counts = np.unique(und[:, 0] * V + und[:, 1], return_counts=True)
         over = counts > 2
         if over.any():
             manifold = False
-            nonmanifold = [tuple(e) for e in uniq[over].tolist()]
+            nonmanifold = [(k // V, k % V) for k in uniq[over].tolist()]
         borders = int((counts == 1).sum())
         # consistent orientation: no directed edge may repeat
-        _, dcounts = np.unique(directed, axis=0, return_counts=True)
-        if (dcounts > 1).any():
-            oriented = False
+        dkey = directed[:, 0] * V + directed[:, 1]
+        oriented = np.unique(dkey).size == dkey.size
 
-    eps = degeneracy_threshold(mesh)
-    areas = face_areas(mesh.vertices, mesh.faces) if F else np.zeros(0)
-    degenerate = [i for i in range(F) if ok_faces[i] and areas[i] <= eps]
+    areas = face_areas(mesh.vertices, faces)
+    degenerate = kept[areas <= degeneracy_threshold(mesh)].tolist()
     return ValidationReport(manifold=manifold, oriented=oriented,
                             border_edges=borders, degenerate_faces=degenerate,
-                            invalid_faces=invalid, nonmanifold_edges=nonmanifold)
+                            invalid_faces=np.flatnonzero(bad).tolist(),
+                            nonmanifold_edges=nonmanifold)
 
 
 def normalize_mesh(mesh: Mesh) -> Mesh:
@@ -343,21 +341,16 @@ def normalize_mesh(mesh: Mesh) -> Mesh:
 # adjacency
 
 
-def edge_length_sq(vertices: np.ndarray, edge) -> float:
-    d = vertices[edge[0]] - vertices[edge[1]]
-    return float(d @ d)
+def edge_lengths_sq(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Squared length of every ``(..., 2)`` vertex-id pair in ``edges``.
 
-
-def sort_adjacency_slots(vertices: np.ndarray, neighbors, edges, num_faces: int):
-    """Canonical slot order: shared-edge length descending, ties by
-    ascending neighbor index with NONE last. Shared across the full
-    build and the incremental pooling update so both stay bit-identical."""
-    keyed = sorted(
-        range(len(neighbors)),
-        key=lambda s: (-edge_length_sq(vertices, edges[s]),
-                       neighbors[s] if neighbors[s] != NONE else num_faces),
-    )
-    return [neighbors[s] for s in keyed], [edges[s] for s in keyed]
+    Each value is one three-term dot product, bit-equal to the scalar
+    ``d @ d`` of ``d = vertices[e[0]] - vertices[e[1]]``; the element-wise
+    ``(d * d).sum(1)`` rounds differently on some rows and would change
+    tie-breaks in the slot order.
+    """
+    d = (vertices[edges[..., 0]] - vertices[edges[..., 1]]).reshape(-1, 3)
+    return np.matmul(d[:, None, :], d[:, :, None]).reshape(edges.shape[:-1])
 
 
 def build_adjacency(mesh: Mesh) -> AdjacencyMatrix:
@@ -365,31 +358,37 @@ def build_adjacency(mesh: Mesh) -> AdjacencyMatrix:
 
     Raises on non-manifold edges (3+ incident faces).
     """
-    F = mesh.num_faces
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for f in range(F):
-        a, b, c = mesh.faces[f]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(u), int(v)) if u < v else (int(v), int(u))
-            edge_faces.setdefault(key, []).append(f)
-    for key, fs in edge_faces.items():
-        if len(fs) > 2:
-            raise MeshError(f"non-manifold edge {key}: {len(fs)} incident faces")
-    neighbors = np.full((F, 3), NONE, dtype=np.int64)
-    shared = np.full((F, 3, 2), NONE, dtype=np.int64)
-    for f in range(F):
-        a, b, c = mesh.faces[f]
-        slot_nb, slot_edge = [], []
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(u), int(v)) if u < v else (int(v), int(u))
-            fs = edge_faces[key]
-            other = [g for g in fs if g != f]
-            slot_nb.append(other[0] if other else NONE)
-            slot_edge.append(key)
-        slot_nb, slot_edge = sort_adjacency_slots(mesh.vertices, slot_nb, slot_edge, F)
-        neighbors[f] = slot_nb
-        shared[f] = slot_edge
-    return AdjacencyMatrix(neighbors, shared)
+    F, V = mesh.num_faces, mesh.num_vertices
+    edges = np.sort(np.stack([mesh.faces, np.roll(mesh.faces, -1, axis=1)],
+                             axis=2), axis=2)
+    key = (edges[..., 0] * V + edges[..., 1]).ravel()
+    # half-edge 3f+s is slot s of face f; a stable sort keeps the
+    # half-edges of one edge in face order
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    start = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    count = np.diff(np.r_[start, key.size])
+    over = start[count > 2]
+    if over.size:
+        # report the non-manifold edge met first in face order
+        first = over[np.argmin(order[over])]
+        u, v = (int(x) for x in edges.reshape(-1, 2)[order[first]])
+        n = int(count[start == first][0])
+        raise MeshError(f"non-manifold edge {(u, v)}: {n} incident faces")
+    pair = start[count == 2]
+    a, b = order[pair], order[pair + 1]
+    neighbors = np.full(3 * F, NONE, dtype=np.int64)
+    # an edge a face meets twice (repeated vertex) has no neighbor across it
+    other = a // 3 != b // 3
+    neighbors[a[other]] = b[other] // 3
+    neighbors[b[other]] = a[other] // 3
+    neighbors = neighbors.reshape(F, 3)
+    # canonical slot order: length descending, then ascending neighbor id
+    # with NONE (as F) last; lexsort is stable, like the oracle's sort
+    tie = np.where(neighbors == NONE, F, neighbors)
+    slot = np.lexsort((tie, -edge_lengths_sq(mesh.vertices, edges)), axis=-1)
+    return AdjacencyMatrix(np.take_along_axis(neighbors, slot, axis=1),
+                           np.take_along_axis(edges, slot[:, :, None], axis=1))
 
 
 # ---------------------------------------------------------------------------

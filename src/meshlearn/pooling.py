@@ -21,12 +21,12 @@ pass commute and can be applied simultaneously in any order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NONE, AdjacencyMatrix, Mesh, MeshError,
-                   sort_adjacency_slots)
+from .core import NONE, AdjacencyMatrix, Mesh, MeshError, build_adjacency
 
 
 @dataclass
@@ -84,47 +84,64 @@ def compute_face_weights(features: np.ndarray, adj: AdjacencyMatrix) -> np.ndarr
         raise ValueError("features row count does not match adjacency")
     nb = adj.neighbors
     safe = np.where(nb == NONE, 0, nb)
-    diff = features[:, None, :] - features[safe]
     # sequential accumulation in channel order, then slot order: a fixed,
     # documented reduction order that a scalar reference loop reproduces
-    # bit-exactly
+    # bit-exactly; one channel at a time, never an F x 3 x C difference
     sq = np.zeros(nb.shape)
     for c in range(features.shape[1]):
-        d = diff[:, :, c]
+        col = features[:, c]
+        d = col[:, None] - col[safe]
         sq += d * d
     sq[nb == NONE] = 0.0
     return (sq[:, 0] + sq[:, 1]) + sq[:, 2]
 
 
 def _face_components(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Connected component label and size per face (edge-adjacency)."""
-    F = adj.num_faces
-    comp = np.full(F, -1, dtype=np.int64)
-    sizes = []
-    for seed in range(F):
-        if comp[seed] >= 0:
-            continue
-        cid = len(sizes)
-        stack = [seed]
-        comp[seed] = cid
-        n = 0
-        while stack:
-            f = stack.pop()
-            n += 1
-            for g in adj.neighbors[f]:
-                if g != NONE and comp[g] < 0:
-                    comp[g] = cid
-                    stack.append(int(g))
-        sizes.append(n)
-    return comp, np.array(sizes, dtype=np.int64)
+    """Connected component label and size per face (edge-adjacency).
+
+    Min-label propagation with pointer jumping: every face converges to
+    the lowest face id of its component, so components are numbered in
+    order of their lowest face.
+    """
+    ids = np.arange(adj.num_faces)
+    nb = np.where(adj.neighbors == NONE, ids[:, None], adj.neighbors)
+    label = ids
+    while True:
+        new = np.minimum(label, label[nb].min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    return comp, sizes
 
 
 def _vertex_to_faces(mesh: Mesh) -> list[list[int]]:
-    v2f: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
-    for f in range(mesh.num_faces):
-        for v in mesh.faces[f]:
-            v2f[int(v)].append(f)
-    return v2f
+    """Incident faces per vertex, in ascending face order."""
+    flat = mesh.faces.ravel()
+    faces_of = (np.argsort(flat, kind="stable") // 3).tolist()
+    ends = np.cumsum(np.bincount(flat, minlength=mesh.num_vertices)).tolist()
+    return [faces_of[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _key_counts(keys: np.ndarray) -> dict[int, int]:
+    uniq, counts = np.unique(keys, return_counts=True)
+    return dict(zip(uniq.tolist(), counts.tolist()))
+
+
+def _count_edges(tri, sgn: int, ecount: dict, dcount: dict, M: int) -> None:
+    """Add ``sgn`` times the edges of face ``tri`` to the undirected and
+    directed edge counts, keyed ``u * M + w``."""
+    a, b, c = tri
+    for u, w in ((a, b), (b, c), (c, a)):
+        k = u * M + w
+        dcount[k] = dcount.get(k, 0) + sgn
+        if u > w:
+            k = w * M + u
+        ecount[k] = ecount.get(k, 0) + sgn
+
+
+BLOCKED = False   # try_candidate: the face can never collapse in this pass
 
 
 class _PassState:
@@ -133,238 +150,240 @@ class _PassState:
     Tracks, for the hypothetical mesh obtained by applying every accepted
     collapse simultaneously: which input faces are still present, their
     current (partially merged) vertex triples, undirected and directed
-    edge incidence counts, face-triple multiplicities and per-vertex face
-    counts. A candidate collapse is accepted only if committing it keeps
-    every one of those observations manifold-consistent.
+    edge incidence counts and per-vertex face counts. A candidate collapse
+    is accepted only if committing it keeps every one of those
+    observations manifold-consistent.
+
+    Everything is held in flat Python lists and int-keyed dicts, which
+    index far faster one element at a time than NumPy rows: ``faces`` and
+    ``neighbors`` are the input tables as lists, ``post`` the current
+    triple per face. Merge points get vertex ids (tokens) from V upwards;
+    an edge (u, w) is keyed ``u * M + w``, with ``M = V + F`` above every
+    token.
     """
 
     def __init__(self, mesh: Mesh, adj: AdjacencyMatrix):
-        F = mesh.num_faces
-        self.mesh = mesh
-        self.adj = adj
+        F, V = mesh.num_faces, mesh.num_vertices
+        self.M = M = V + F
+        self.faces = mesh.faces.tolist()
+        self.neighbors = adj.neighbors.tolist()
         self.v2f = _vertex_to_faces(mesh)
-        self.comp, comp_sizes = _face_components(adj)
-        self.comp_left = comp_sizes.copy()
-        self.alive = np.ones(F, dtype=bool)
-        self.post = [tuple(int(v) for v in mesh.faces[f]) for f in range(F)]
-        self.ecount: dict[tuple[int, int], int] = {}
-        self.dcount: dict[tuple[int, int], int] = {}
-        self.fkey: dict[tuple[int, ...], int] = {}
-        self.vcount: dict[int, int] = {}
-        self.merged_of: dict[int, int] = {}   # old vertex -> merge token
-        self.next_token = mesh.num_vertices
-        for f in range(F):
-            tri = self.post[f]
-            for a, b in _tri_edges(tri):
-                self.dcount[(a, b)] = self.dcount.get((a, b), 0) + 1
-                e = (a, b) if a < b else (b, a)
-                self.ecount[e] = self.ecount.get(e, 0) + 1
-            self.fkey[tuple(sorted(tri))] = self.fkey.get(tuple(sorted(tri)), 0) + 1
-            for v in tri:
-                self.vcount[v] = self.vcount.get(v, 0) + 1
+        comp, comp_sizes = _face_components(adj)
+        self.comp = comp.tolist()
+        self.comp_left = comp_sizes.tolist()
+        self.alive = [True] * F
+        self.post = list(self.faces)
+        self.claimed = [False] * V       # old vertex merged by a region
+        self.next_token = V
+        tri = mesh.faces
+        nxt = np.roll(tri, -1, axis=1)
+        self.dcount = _key_counts(tri * M + nxt)
+        self.ecount = _key_counts(np.minimum(tri, nxt) * M + np.maximum(tri, nxt))
+        self.vcount = np.bincount(tri.ravel(), minlength=M).tolist()
 
     def try_candidate(self, f: int):
-        """Return (removed, ring, center_verts) if collapsing f is
-        compatible with everything accepted so far, else None."""
-        mesh, adj = self.mesh, self.adj
-        row = adj.neighbors[f]
-        if (row == NONE).any():
-            return None
-        nbs = {int(g) for g in row}
+        """Return the collapse of f as (removed, ring, new_tris,
+        center_verts, edge_delta, directed_delta) if it is compatible with
+        everything accepted so far. Otherwise return BLOCKED if no later
+        commit can make it compatible, or None if the simulation rejects
+        it for now."""
+        row = self.neighbors[f]
+        if NONE in row:
+            return BLOCKED
+        nbs = set(row)
         if len(nbs) != 3:
-            return None
-        removed = sorted(nbs | {f})
-        if not all(self.alive[h] for h in removed):
-            return None
+            return BLOCKED
+        nbs.add(f)
+        # faces only die, components only shrink and vertices are only
+        # claimed, so each of these rejections is final
+        alive = self.alive
+        if not all(alive[h] for h in nbs):
+            return BLOCKED
         if self.comp_left[self.comp[f]] - 4 < 4:
-            return None
-        cvs = {int(v) for v in mesh.faces[f]}
-        if any(v in self.merged_of for v in cvs):
-            return None  # center vertex already claimed by another merge
-        ring = sorted({h for v in cvs for h in self.v2f[v]
-                       if self.alive[h] and h not in removed})
-        token = self.next_token
+            return BLOCKED
+        cvs = set(self.faces[f])
+        claimed = self.claimed
+        if any(claimed[v] for v in cvs):
+            return BLOCKED  # center vertex already claimed by another merge
+        removed = sorted(nbs)
+        v2f = self.v2f
+        ring = sorted({h for v in cvs for h in v2f[v] if alive[h]} - nbs)
+        token, M, post = self.next_token, self.M, self.post
 
-        de: dict[tuple[int, int], int] = {}
-        dd: dict[tuple[int, int], int] = {}
-        dfk: dict[tuple[int, ...], int] = {}
-
-        def acc(tri, sgn):
-            for a, b in _tri_edges(tri):
-                dd[(a, b)] = dd.get((a, b), 0) + sgn
-                e = (a, b) if a < b else (b, a)
-                de[e] = de.get(e, 0) + sgn
-            k = tuple(sorted(tri))
-            dfk[k] = dfk.get(k, 0) + sgn
-
+        de: dict[int, int] = {}
+        dd: dict[int, int] = {}
         for h in removed:
-            acc(self.post[h], -1)
+            _count_edges(post[h], -1, de, dd, M)
         new_tris = {}
         for h in ring:
-            old = self.post[h]
-            acc(old, -1)
+            old = post[h]
             nt = tuple(token if v in cvs else v for v in old)
             if len(set(nt)) < 3:
                 return None  # face would degenerate under the merge
+            _count_edges(old, -1, de, dd, M)
+            _count_edges(nt, 1, de, dd, M)
             new_tris[h] = nt
-            acc(nt, 1)
+        # every new triple holds the fresh token, so it can only duplicate
+        # another new triple, never a face present before
+        if len({frozenset(nt) for nt in new_tris.values()}) < len(new_tris):
+            return None  # duplicate face after the merge
+        ecount, dcount = self.ecount, self.dcount
         for e, s in de.items():
-            if s and self.ecount.get(e, 0) + s not in (0, 2):
+            if s and ecount.get(e, 0) + s not in (0, 2):
                 return None  # edge would not stay 2-manifold
         for d, s in dd.items():
-            if s and self.dcount.get(d, 0) + s > 1:
+            if s and dcount.get(d, 0) + s > 1:
                 return None  # orientation would break
-        for k, s in dfk.items():
-            if s > 0 and self.fkey.get(k, 0) + s > 1:
-                return None  # duplicate face after the merge
         # no surviving vertex may lose its last face
         lost: dict[int, int] = {}
         for h in removed:
-            for v in self.post[h]:
+            for v in post[h]:
                 if v not in cvs:
                     lost[v] = lost.get(v, 0) + 1
+        vcount = self.vcount
         for v, n in lost.items():
-            if self.vcount[v] - n <= 0:
+            if vcount[v] - n <= 0:
                 return None
-        return removed, ring, new_tris, sorted(cvs)
+        return removed, ring, new_tris, sorted(cvs), de, dd
 
-    def commit(self, f: int, removed, ring, new_tris, cvs) -> None:
-        token = self.next_token
+    def commit(self, f: int, candidate) -> None:
+        """Apply an accepted ``try_candidate`` result to the simulation."""
+        removed, ring, new_tris, cvs, de, dd = candidate
+        ecount, dcount, post, vcount = self.ecount, self.dcount, self.post, self.vcount
+        for e, s in de.items():
+            ecount[e] = ecount.get(e, 0) + s
+        for d, s in dd.items():
+            dcount[d] = dcount.get(d, 0) + s
         for h in removed:
-            tri = self.post[h]
-            self._account(tri, -1)
+            for v in post[h]:
+                vcount[v] -= 1
             self.alive[h] = False
         for h in ring:
-            self._account(self.post[h], -1)
-            self.post[h] = new_tris[h]
-            self._account(new_tris[h], 1)
+            for v in post[h]:
+                vcount[v] -= 1
+            post[h] = new_tris[h]
+            for v in post[h]:
+                vcount[v] += 1
         for v in cvs:
-            self.merged_of[v] = token
+            self.claimed[v] = True
         self.next_token += 1
         self.comp_left[self.comp[f]] -= 4
 
-    def _account(self, tri, sgn):
-        for a, b in _tri_edges(tri):
-            self.dcount[(a, b)] = self.dcount.get((a, b), 0) + sgn
-            e = (a, b) if a < b else (b, a)
-            self.ecount[e] = self.ecount.get(e, 0) + sgn
-        k = tuple(sorted(tri))
-        self.fkey[k] = self.fkey.get(k, 0) + sgn
-        for v in tri:
-            self.vcount[v] = self.vcount.get(v, 0) + sgn
-
-
-def _tri_edges(tri):
-    a, b, c = tri
-    return (a, b), (b, c), (c, a)
+    def near(self, touched) -> set[int]:
+        """Faces within two vertex hops (in the input mesh) of the faces
+        ``touched`` by a commit: the only candidates whose outcome the
+        commit can change."""
+        faces, v2f = self.faces, self.v2f
+        hop1 = {z for v in {v for y in touched for v in faces[y]} for z in v2f[v]}
+        return {w for v in {v for z in hop1 for v in faces[z]} for w in v2f[v]}
 
 
 def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
               target: int) -> PoolPlan:
     """Greedy conflict-free selection of collapse regions.
 
-    Repeatedly picks the lowest-weight remaining face (ties by ascending
-    face id) whose collapse passes the manifold guard and is compatible
-    with every collapse accepted so far, until the projected face count
-    reaches ``target`` or no selectable face remains. Compatibility is
-    judged by the shared pass simulation (see _PassState), so accepted
-    collapses always compose into a valid simultaneous application.
+    Lowest weight first (ties by ascending face id): the next collapse is
+    always the first face in that order whose collapse passes the manifold
+    guard and is compatible with every collapse accepted so far, until
+    the projected face count reaches ``target`` or no selectable face
+    remains. Compatibility is judged by the shared pass simulation (see
+    _PassState), so accepted collapses always compose into a valid
+    simultaneous application.
+
+    The order is walked once, and rejections are cached. A face the
+    simulation rejected is tried again only after a later commit touches
+    its two-hop neighborhood (_PassState.near), which puts its position on
+    a retry heap; a BLOCKED face is never tried again. Every rejected face
+    lies before the walk pointer, so the smallest queued position, if any,
+    is the first eligible face, and otherwise the walk continues.
     """
     if target < 4:
         raise ValueError("target face count must be >= 4")
     F, V = mesh.num_faces, mesh.num_vertices
-    regions: list[PoolRegion] = []
     projected = F
     if projected <= target:
-        return _finalize_plan(mesh, regions, None, F, V)
+        return _finalize_plan(mesh, [], None, F, V)
     state = _PassState(mesh, adj)
-    order = [int(f) for f in np.lexsort((np.arange(F), weights))]
-    # rejection cache: a face stays rejected until a nearby commit could
-    # change the simulation outcome for it
-    rejected = np.zeros(F, dtype=bool)
-    dirty = np.zeros(F, dtype=bool)
+    alive = state.alive
+    order = np.lexsort((np.arange(F), weights))
+    position = np.empty(F, dtype=np.int64)
+    position[order] = np.arange(F)
+    order, position = order.tolist(), position.tolist()
+    accepted: list[tuple] = []      # (center, removed, ring, center verts)
+    retry: list[int] = []           # heap of positions of requeued faces
+    queued = [False] * F
+    settled = [False] * F           # blocked for the rest of the pass
+    walk = 0                        # first position never tried
     while projected > target:
-        accepted = False
-        for f in order:
-            if not state.alive[f]:
-                continue
-            if rejected[f] and not dirty[f]:
-                continue
-            cand = state.try_candidate(f)
-            if cand is None:
-                rejected[f] = True
-                dirty[f] = False
-                continue
-            removed, ring, new_tris, cvs = cand
-            regions.append(PoolRegion(
-                center=f, removed=removed, ring=ring, old_vertices=cvs,
-                merged_vertex=mesh.vertices[mesh.faces[f]].mean(axis=0)))
-            state.commit(f, removed, ring, new_tris, cvs)
-            _mark_dirty(mesh, state.v2f, removed + ring, dirty)
-            projected -= len(removed)
-            accepted = True
-            break  # restart the scan: repeated argmin over survivors
-        if not accepted:
+        if retry:
+            f = order[heapq.heappop(retry)]
+            queued[f] = False
+        elif walk < F:
+            f = order[walk]
+            walk += 1
+        else:
             break
+        if not alive[f]:
+            continue
+        cand = state.try_candidate(f)
+        if not cand:
+            settled[f] = cand is BLOCKED
+            continue
+        removed, ring, _, cvs, _, _ = cand
+        accepted.append((f, removed, ring, cvs))
+        state.commit(f, cand)
+        projected -= len(removed)
+        for w in state.near(removed + ring):
+            if alive[w] and not settled[w] and not queued[w] and position[w] < walk:
+                queued[w] = True
+                heapq.heappush(retry, position[w])
+    centers = mesh.faces[[a[0] for a in accepted]]
+    regions = [PoolRegion(center=f, removed=removed, ring=ring, old_vertices=cvs,
+                          merged_vertex=point)
+               for (f, removed, ring, cvs), point
+               in zip(accepted, mesh.vertices[centers].mean(axis=1))]
     return _finalize_plan(mesh, regions, state, F, V)
-
-
-def _mark_dirty(mesh: Mesh, v2f, touched, dirty) -> None:
-    """Invalidate cached rejections within two vertex hops of the faces
-    touched by a commit; only their neighborhoods can change outcome."""
-    near = set()
-    for y in touched:
-        for v in mesh.faces[y]:
-            near.update(v2f[int(v)])
-    for z in near:
-        for v in mesh.faces[z]:
-            for w in v2f[int(v)]:
-                dirty[w] = True
 
 
 def _finalize_plan(mesh: Mesh, regions: list[PoolRegion],
                    state: _PassState | None, F: int, V: int) -> PoolPlan:
+    faces = state.faces if state is not None else mesh.faces.tolist()
     removed_faces = np.zeros(F, dtype=bool)
-    for r in regions:
-        removed_faces[r.removed] = True
+    removed_faces[[h for r in regions for h in r.removed]] = True
+    gone = removed_faces.tolist()
     # rings are trimmed to faces that actually survive the whole pass
-    for r in regions:
-        r.ring = [g for g in r.ring if not removed_faces[g]]
     ring_of: dict[int, list[int]] = {}
     for ri, r in enumerate(regions):
+        r.ring = [g for g in r.ring if not gone[g]]
         for g in r.ring:
             ring_of.setdefault(g, []).append(ri)
+    survivors = np.flatnonzero(~removed_faces)
     face_remap = np.full(F, -1, dtype=np.int64)
-    face_remap[~removed_faces] = np.arange(int((~removed_faces).sum()))
+    face_remap[survivors] = np.arange(len(survivors))
 
+    old_vertices = [v for r in regions for v in r.old_vertices]
     removed_verts = np.zeros(V, dtype=bool)
-    for r in regions:
-        removed_verts[r.old_vertices] = True
+    removed_verts[old_vertices] = True
     vertex_remap = np.full(V, -1, dtype=np.int64)
     n_survive = int((~removed_verts).sum())
     vertex_remap[~removed_verts] = np.arange(n_survive)
     merged_ids = np.arange(n_survive, n_survive + len(regions), dtype=np.int64)
-    for mid, r in zip(merged_ids, regions):
-        vertex_remap[r.old_vertices] = mid
+    vertex_remap[old_vertices] = np.repeat(
+        merged_ids, [len(r.old_vertices) for r in regions])
 
-    provenance: list[list[int]] = []
-    for g in range(F):
-        if removed_faces[g]:
-            continue
-        if g in ring_of:
-            gvs = set(int(v) for v in mesh.faces[g])
-            contrib = set()
-            for ri in ring_of[g]:
-                for h in regions[ri].removed:
-                    if gvs & set(int(v) for v in mesh.faces[h]):
-                        contrib.add(h)
-            provenance.append(sorted(contrib | {g}))
-        else:
-            provenance.append([g])
+    provenance = [[g] for g in survivors.tolist()]
+    remap = face_remap.tolist()
+    for g, ris in ring_of.items():
+        gvs = set(faces[g])
+        contrib = {g}
+        for ri in ris:
+            contrib.update(h for h in regions[ri].removed
+                           if not gvs.isdisjoint(faces[h]))
+        provenance[remap[g]] = sorted(contrib)
     return PoolPlan(regions=regions, face_remap=face_remap,
                     vertex_remap=vertex_remap, merged_ids=merged_ids,
                     provenance=provenance,
-                    num_new_faces=F - int(removed_faces.sum()),
+                    num_new_faces=len(survivors),
                     num_new_vertices=n_survive + len(regions))
 
 
@@ -372,10 +391,9 @@ def apply_pass(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
                plan: PoolPlan) -> PooledMesh:
     """Apply all planned collapses simultaneously.
 
-    The adjacency is updated incrementally: rows of untouched faces are
-    remapped, ring rows are rebuilt locally, and every row is re-sorted
-    with the canonical slot order, so the result is bit-identical to a
-    full rebuild on the new mesh.
+    The adjacency of the pooled mesh is built anew by ``build_adjacency``,
+    whose sort-based construction costs less than patching ring rows of
+    the old table would; ``adj``, the input mesh's table, is not read.
     """
     F, V = mesh.num_faces, mesh.num_vertices
     if plan.face_remap.shape[0] != F or plan.vertex_remap.shape[0] != V:
@@ -402,88 +420,27 @@ def apply_pass(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
     for j, contrib in enumerate(plan.provenance):
         new_features[j] = features[contrib].sum(axis=0) / len(contrib)
 
-    new_adj = _incremental_adjacency(mesh, adj, plan, new_mesh)
     record = PassRecord(provenance=plan.provenance, old_num_faces=F)
-    return PooledMesh(mesh=new_mesh, adjacency=new_adj, features=new_features,
+    return PooledMesh(mesh=new_mesh, adjacency=build_adjacency(new_mesh),
+                      features=new_features,
                       passes=[record], pass_count=1)
-
-
-def _incremental_adjacency(mesh: Mesh, adj: AdjacencyMatrix, plan: PoolPlan,
-                           new_mesh: Mesh) -> AdjacencyMatrix:
-    survive = plan.face_remap >= 0
-    Fn = plan.num_new_faces
-    nb = adj.neighbors[survive].copy()
-    safe = np.where(nb == NONE, 0, nb)
-    remapped = np.where(nb == NONE, NONE, plan.face_remap[safe])
-    # only ring rows reference removed faces (remap -1); rebuilt below
-    edges = plan.vertex_remap[adj.shared_edges[survive]]
-    edges = np.sort(edges, axis=2)
-
-    # rebuild every ring row: edges through a merge point are re-paired
-    # among the ring faces, the rest keep their (remapped) old neighbor
-    n_plain = plan.num_new_vertices - len(plan.regions)
-    old_of = {int(plan.face_remap[g]): g
-              for r in plan.regions for g in r.ring}
-    merged_edge_faces: dict[tuple[int, int], list[int]] = {}
-    for j in old_of:
-        tri = new_mesh.faces[j]
-        for k in range(3):
-            p, q = int(tri[k]), int(tri[(k + 1) % 3])
-            e = (p, q) if p < q else (q, p)
-            if e[1] >= n_plain:  # at least one endpoint is a merge point
-                merged_edge_faces.setdefault(e, []).append(j)
-    for j, g in old_of.items():
-        tri = new_mesh.faces[j]
-        row_nb, row_edge = [], []
-        for k in range(3):
-            p, q = int(tri[k]), int(tri[(k + 1) % 3])
-            e = (p, q) if p < q else (q, p)
-            if e[1] >= n_plain:
-                pair = merged_edge_faces[e]
-                row_nb.append(pair[0] if pair[1] == j else pair[1])
-            else:
-                # old edge unchanged: look up the old neighbor
-                old_tri = mesh.faces[g]
-                op, oq = int(old_tri[k]), int(old_tri[(k + 1) % 3])
-                oe = (op, oq) if op < oq else (oq, op)
-                onb = NONE
-                for s in range(3):
-                    if tuple(adj.shared_edges[g, s]) == oe:
-                        onb = int(adj.neighbors[g, s])
-                        break
-                row_nb.append(NONE if onb == NONE else int(plan.face_remap[onb]))
-            row_edge.append(e)
-        edges[j] = row_edge
-        remapped[j] = row_nb
-
-    # canonical re-sort of every row: merged geometry changes ring edge
-    # lengths, and remapped ids change tie-breaks even for untouched rows
-    out_nb = np.empty_like(remapped)
-    out_edges = np.empty_like(edges)
-    for j in range(Fn):
-        row_nb, row_edge = sort_adjacency_slots(
-            new_mesh.vertices, [int(x) for x in remapped[j]],
-            [tuple(e) for e in edges[j]], Fn)
-        out_nb[j] = row_nb
-        out_edges[j] = row_edge
-    return AdjacencyMatrix(out_nb, out_edges)
 
 
 def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
                    target: int, max_passes: int = 64) -> PooledMesh:
     """Repeat weight/plan/apply passes until the face count reaches the
-    target band [target-3, target], or flag a stall."""
+    target band [target-3, target]. A result left above the band, because
+    a pass made no progress or ``max_passes`` ran out, is flagged as a
+    stall."""
     if target < 4:
         raise ValueError("target face count must be >= 4")
     passes: list[PassRecord] = []
     current = PooledMesh(mesh=mesh, adjacency=adj, features=features)
     count = 0
-    stalled = False
     while current.mesh.num_faces > target and count < max_passes:
         weights = compute_face_weights(current.features, current.adjacency)
         plan = plan_pass(current.mesh, current.adjacency, weights, target)
         if not plan.regions:
-            stalled = True
             break
         nxt = apply_pass(current.mesh, current.adjacency, current.features, plan)
         passes.extend(nxt.passes)
@@ -491,7 +448,8 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
         current = nxt
     return PooledMesh(mesh=current.mesh, adjacency=current.adjacency,
                       features=current.features, passes=passes,
-                      pass_count=count, stalled=stalled)
+                      pass_count=count,
+                      stalled=current.mesh.num_faces > target)
 
 
 def pooling_backward(passes: list[PassRecord], grad_out: np.ndarray) -> np.ndarray:

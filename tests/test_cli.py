@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
+import functools
 import os
 
 import numpy as np
 import pytest
 
 import meshlearn.network as net
-from meshlearn import cli, training
+from meshlearn import cli, pooling, training
 from meshlearn.checkpoint import save_checkpoint
 from meshlearn.core import load_mesh, save_off
 from meshlearn.data import (SyntheticSpec, generate_synthetic, icosphere,
@@ -105,6 +106,19 @@ def test_pool_stall_strict_exit_1(tmp_path, capsys):
     assert "stalled=yes" in captured.out
     assert "stall" in captured.err
     assert run(["pool", src, "--target", "7", "-o", dst]) == 0   # non-strict
+
+
+def test_pool_out_of_passes_prints_stalled(tmp_path, capsys, monkeypatch):
+    one_pass = functools.partial(pooling.pool_to_target, max_passes=1)
+    monkeypatch.setattr(pooling, "pool_to_target", one_pass)
+    src, dst = str(tmp_path / "in.off"), str(tmp_path / "out.off")
+    save_off(icosphere(3), src)
+    assert run(["pool", src, "--target", "40", "-o", dst]) == 0
+    captured = capsys.readouterr()
+    assert "passes=1" in captured.out and "faces_after=572" in captured.out
+    assert "stalled=yes" in captured.out
+    assert "stall: achieved 572 faces (target 40)" in captured.err
+
 
 def test_pool_invalid_input_exit_2(tmp_path, capsys):
     # three faces sharing edge (0, 1): non-manifold, fails validation

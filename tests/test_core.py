@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshlearn.core import (NONE, Mesh, MeshError, build_adjacency,
-                            compute_geometry, euler_characteristic, load_mesh,
-                            load_obj, load_off, normalize_mesh, save_off,
-                            validate_mesh)
+                            compute_geometry, degeneracy_threshold,
+                            edge_lengths_sq, euler_characteristic, face_areas,
+                            load_mesh, load_obj, load_off, normalize_mesh,
+                            save_off, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, torus
 
 from conftest import (closed_corpus, jitter_mesh, rigid_transform,
@@ -130,6 +131,61 @@ def test_validate_degenerate_and_invalid_faces():
     assert report.invalid_faces == [1]      # repeated index
 
 
+def _scalar_validate(mesh):
+    """Face-by-face reference for validate_mesh: (invalid, degenerate,
+    non-manifold edges, borders, oriented)."""
+    V = mesh.num_vertices
+    eps = degeneracy_threshold(mesh)
+    invalid, degenerate, kept = [], [], []
+    for i, f in enumerate(mesh.faces.tolist()):
+        if min(f) < 0 or max(f) >= V or len(set(f)) != 3:
+            invalid.append(i)
+            continue
+        kept.append(f)
+        if face_areas(mesh.vertices, np.array([f]))[0] <= eps:
+            degenerate.append(i)
+    und, directed = {}, {}
+    for a, b, c in kept:
+        for u, w in ((a, b), (b, c), (c, a)):
+            directed[(u, w)] = directed.get((u, w), 0) + 1
+            e = (min(u, w), max(u, w))
+            und[e] = und.get(e, 0) + 1
+    nonmanifold = sorted(e for e, n in und.items() if n > 2)
+    borders = sum(1 for n in und.values() if n == 1)
+    oriented = all(n == 1 for n in directed.values())
+    return invalid, degenerate, nonmanifold, borders, oriented
+
+
+def test_validate_matches_scalar_reference(rng):
+    base = jitter_mesh(icosphere(1), rng)
+    V = base.num_vertices
+    faces = base.faces.copy()
+    faces[3] = [0, V, 1]          # out of range
+    faces[10] = [-1, 2, 3]        # negative index
+    faces[17] = [4, 4, 5]         # repeated vertex
+    faces[30] = [6, 7, 6]         # repeated vertex
+    verts = base.vertices.copy()
+    a, b, c = faces[40]
+    verts[c] = 0.5 * (verts[a] + verts[b])   # collinear: zero area
+    cases = [
+        base,
+        Mesh(verts, faces),
+        Mesh(verts, np.vstack([faces, faces[:5], faces[[50]][:, ::-1]])),
+        Mesh(np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]]),
+             np.array([[0, 1, 2], [0, 1, 1], [0, 1, 3], [3, 9, 0]])),
+    ]
+    for mesh in cases:
+        report = validate_mesh(mesh)
+        invalid, degenerate, nonmanifold, borders, oriented = _scalar_validate(mesh)
+        assert report.invalid_faces == invalid
+        assert report.degenerate_faces == degenerate
+        assert report.nonmanifold_edges == nonmanifold
+        assert report.manifold == (not nonmanifold)
+        assert report.border_edges == borders
+        assert report.oriented == oriented
+    assert _scalar_validate(cases[1])[:2] == ([3, 10, 17, 30], [40])
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -215,6 +271,31 @@ def test_adjacency_matches_oracle_corpus_200():
         nb, se = oracle_adjacency(mesh)
         assert np.array_equal(adj.neighbors, nb), mesh.name
         assert np.array_equal(adj.shared_edges, se), mesh.name
+
+
+def test_edge_lengths_sq_bit_equal_scalar_dot():
+    rng = np.random.default_rng(3)
+    verts = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+    edges = np.sort(rng.integers(0, 500, size=(4000, 2)), axis=1)
+    got = edge_lengths_sq(verts, edges.reshape(1000, 4, 2))
+    assert got.shape == (1000, 4)
+    for e, value in zip(edges.tolist(), got.ravel().tolist()):
+        d = verts[e[0]] - verts[e[1]]
+        assert value == float(d @ d)
+
+
+def test_adjacency_matches_oracle_bordered_and_multicomponent(rng):
+    ico = jitter_mesh(icosphere(1), rng)
+    bordered = Mesh(ico.vertices, np.delete(ico.faces, [0, 1, 2, 9, 33, 60], axis=0))
+    a, b = jitter_mesh(box(2), rng), jitter_mesh(torus(6, 4), rng)
+    multi = Mesh(np.vstack([a.vertices, b.vertices + 4.0]),
+                 np.vstack([a.faces, b.faces + a.num_vertices]))
+    for mesh in (bordered, multi):
+        adj = build_adjacency(mesh)
+        nb, se = oracle_adjacency(mesh)
+        assert np.array_equal(adj.neighbors, nb)
+        assert np.array_equal(adj.shared_edges, se)
+    assert (build_adjacency(bordered).neighbors == NONE).any()
 
 
 def test_adjacency_nonmanifold_raises():

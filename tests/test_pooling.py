@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshlearn.core import (Mesh, build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
@@ -12,7 +14,7 @@ from meshlearn.pooling import (PoolPlan, apply_pass, compute_face_weights,
                                _finalize_plan)
 
 from conftest import closed_corpus, jitter_mesh, rigid_transform, tetrahedron
-from oracles import oracle_plan_pass, oracle_weights
+from oracles import oracle_adjacency, oracle_plan_pass, oracle_weights
 
 
 def _desc_features(mesh, seed=0, k=3):
@@ -110,6 +112,40 @@ def test_plan_matches_oracle_small_corpus():
             == [(c, tuple(rm), tuple(cv)) for c, rm, cv in oracle]
 
 
+PROPERTY_MESHES = [box(1), box(2), icosahedron(), icosphere(1), torus(5, 3),
+                   torus(6, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plan_matches_oracle_tied_weights_property(data):
+    mesh = data.draw(st.sampled_from(PROPERTY_MESHES))
+    F = mesh.num_faces
+    weights = np.array(data.draw(st.lists(st.integers(0, 2), min_size=F,
+                                          max_size=F)), dtype=float)
+    target = data.draw(st.integers(4, F))
+    plan = plan_pass(mesh, build_adjacency(mesh), weights, target)
+    oracle = oracle_plan_pass(mesh, weights, target)
+    assert [(r.center, r.removed, r.old_vertices) for r in plan.regions] \
+        == [(c, rm, cv) for c, rm, cv in oracle]
+
+
+def test_plan_retry_heap_accepts_out_of_order():
+    # box(1) after a few edge flips: the low-valence vertices make face 2
+    # fail at first and pass once the collapse around face 6 has been
+    # committed, so the accepted centers are out of weight order
+    faces = [[1, 5, 3], [3, 6, 2], [4, 5, 6], [4, 6, 3], [5, 0, 3], [5, 4, 7],
+             [3, 2, 1], [3, 7, 4], [7, 3, 0], [7, 0, 5], [2, 6, 5], [5, 1, 2]]
+    mesh = Mesh(box(1).vertices, np.array(faces))
+    assert validate_mesh(mesh).ok
+    weights = np.array([2, 2, 0, 0, 1, 2, 0, 1, 1, 2, 2, 2], dtype=float)
+    plan = plan_pass(mesh, build_adjacency(mesh), weights, 4)
+    order = np.lexsort((np.arange(12), weights)).tolist()
+    assert [order.index(r.center) for r in plan.regions] == [2, 0]
+    assert [(r.center, r.removed, r.old_vertices) for r in plan.regions] \
+        == [(c, rm, cv) for c, rm, cv in oracle_plan_pass(mesh, weights, 4)]
+
+
 def test_plan_invariants(rng):
     mesh = jitter_mesh(icosphere(2), rng)   # 320 faces
     adj, feats = _desc_features(mesh)
@@ -188,6 +224,9 @@ def test_incremental_adjacency_equals_rebuild(rng):
         full = build_adjacency(out.mesh)
         assert np.array_equal(out.adjacency.neighbors, full.neighbors)
         assert np.array_equal(out.adjacency.shared_edges, full.shared_edges)
+        nb, se = oracle_adjacency(out.mesh)
+        assert np.array_equal(out.adjacency.neighbors, nb)
+        assert np.array_equal(out.adjacency.shared_edges, se)
 
 
 def test_region_order_reversal(rng):
@@ -273,6 +312,16 @@ def test_stall_two_tetrahedra():
     out = pool_to_target(mesh, adj, np.zeros((8, 1)), 7)
     assert out.stalled
     assert out.mesh.num_faces == 8
+
+
+def test_pool_to_target_out_of_passes_is_stall():
+    mesh = icosphere(3)
+    adj = build_adjacency(mesh)
+    out = pool_to_target(mesh, adj, np.zeros((mesh.num_faces, 1)), 40,
+                         max_passes=1)
+    assert out.pass_count == 1
+    assert out.mesh.num_faces == 572
+    assert out.stalled
 
 
 def test_torus_topology_preserved(rng):
