@@ -23,7 +23,7 @@ from .checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint,
                          save_checkpoint)
 from .data import (Dataset, Sample, SyntheticSpec, box, generate_synthetic,
                    icosahedron, icosphere, load_dataset, make_splits,
-                   octahedron, preprocess, torus, write_dataset)
+                   octahedron, torus, write_dataset)
 from .bench import BenchReport, run_benchmark
 
 __version__ = "0.1.0"

@@ -82,11 +82,9 @@ def build_configs(values: dict[str, str]):
 def cmd_info(args) -> int:
     mesh = load_mesh(args.mesh)
     report = validate_mesh(mesh)
-    edges = np.sort(np.stack([mesh.faces, np.roll(mesh.faces, -1, axis=1)],
-                             axis=2).reshape(-1, 2), axis=1)
-    num_edges = len(np.unique(edges, axis=0)) if len(edges) else 0
-    print(f"V={mesh.num_vertices} E={num_edges} F={mesh.num_faces} "
-          f"chi={euler_characteristic(mesh)} borders={report.border_edges} "
+    chi = euler_characteristic(mesh)
+    print(f"V={mesh.num_vertices} E={mesh.num_vertices + mesh.num_faces - chi} "
+          f"F={mesh.num_faces} chi={chi} borders={report.border_edges} "
           f"manifold={'yes' if report.manifold else 'no'} "
           f"oriented={'yes' if report.oriented else 'no'} "
           f"degenerate={len(report.degenerate_faces)}")
@@ -109,11 +107,9 @@ def cmd_pool(args) -> int:
     pooled = poolmod.pool_to_target(mesh, adj, feats, args.target)
     dt = time.perf_counter() - t0
     save_off(pooled.mesh, args.output)
-    fracs = []
-    before = mesh.num_faces
-    for rec in pooled.passes:
-        fracs.append((rec.old_num_faces - len(rec.provenance)) / rec.old_num_faces)
-    print(f"passes={pooled.pass_count} faces_before={before} "
+    fracs = [(rec.old_num_faces - len(rec.provenance)) / rec.old_num_faces
+             for rec in pooled.passes]
+    print(f"passes={pooled.pass_count} faces_before={mesh.num_faces} "
           f"faces_after={pooled.mesh.num_faces} "
           f"removal_fractions={','.join('%.3f' % f for f in fracs) or 'none'} "
           f"seconds={dt:.3f}" + (" stalled=yes" if pooled.stalled else ""))

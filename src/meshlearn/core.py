@@ -47,6 +47,9 @@ class Mesh:
             raise MeshError("vertices must be a V x 3 array")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must be an F x 3 array")
+        # nan or inf would pass validation and poison every later stage
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("non-finite vertex coordinate")
 
     @property
     def num_vertices(self) -> int:

@@ -1,5 +1,5 @@
-"""Datasets: directory ingestion, split construction, preprocessing, and
-seeded synthetic mesh generation (icosphere / box / torus).
+"""Datasets: directory ingestion, split construction, and seeded synthetic
+mesh generation (icosphere / box / torus).
 
 Synthetic generation is deterministic: one child seed per sample, spawned
 from the dataset seed, so results are independent of generation order.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mesh, MeshError, load_mesh, normalize_mesh, save_off
+from .core import Mesh, MeshError, load_mesh, save_off
 
 logger = logging.getLogger(__name__)
 
@@ -104,11 +104,6 @@ def make_splits(dataset: Dataset, per_class_train: int, seed: int) -> tuple[Data
             (train if k < per_class_train else test).append(s)
     return (Dataset(train, dataset.class_names, split="train"),
             Dataset(test, dataset.class_names, split="test"))
-
-
-def preprocess(mesh: Mesh) -> Mesh:
-    """Center at the origin and scale into the unit sphere."""
-    return normalize_mesh(mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,8 @@ def geodesic_forward(terms: GeodesicTerms, params: DescriptorParams) -> np.ndarr
     return out.reshape(out.shape[0], -1)
 
 
-def geometric_forward(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
-                      params: DescriptorParams,
-                      abs_mode: str = "componentwise") -> np.ndarray:
-    """(F, 3*k_geom) geometric feature block."""
-    terms = compute_geometric_terms(mesh, adj, geo, abs_mode)
+def geometric_forward(terms: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    """(F, 3*k_geom) geometric feature block from ``compute_geometric_terms``."""
     out = np.einsum("jt,ftc->fjc", params.geom, terms)
     return out.reshape(out.shape[0], -1)
 
@@ -159,10 +156,10 @@ def descriptor_forward(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
 
     Channel layout: geodesic block first, then geometric block.
     """
-    terms = compute_geodesic_terms(mesh, adj, geo, abs_mode)
-    return np.concatenate([geodesic_forward(terms, params),
-                           geometric_forward(mesh, adj, geo, params, abs_mode)],
-                          axis=1)
+    return np.concatenate([
+        geodesic_forward(compute_geodesic_terms(mesh, adj, geo, abs_mode), params),
+        geometric_forward(compute_geometric_terms(mesh, adj, geo, abs_mode), params)],
+        axis=1)
 
 
 def descriptor_backward(geo_terms: GeodesicTerms, geom_terms: np.ndarray,

@@ -186,8 +186,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
         static = replay.static if replay is not None else precompute_static(mesh, config)
     feats = np.concatenate([
         desc.geodesic_forward(static.geo_terms, params.descriptor),
-        np.einsum("jt,ftc->fjc", params.descriptor.geom,
-                  static.geom_terms).reshape(mesh.num_faces, -1)], axis=1)
+        desc.geometric_forward(static.geom_terms, params.descriptor)], axis=1)
     tape = Tape(static=static)
     cur_mesh, cur_adj = mesh, static.adjacency
     layer_idx = 0
@@ -208,7 +207,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
             caches.append(cache)
             layer_idx += 1
         if replay is not None:
-            pooled = _replay_pool(cur_mesh, cur_adj, feats, replay.blocks[b].pool)
+            pooled = _replay_pool(feats, replay.blocks[b].pool)
         else:
             pooled = poolmod.pool_to_target(cur_mesh, cur_adj, feats,
                                             config.t_schedule[b])
@@ -225,19 +224,11 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
     return logits, tape
 
 
-def _replay_pool(mesh: Mesh, adj: AdjacencyMatrix, feats: np.ndarray,
-                 recorded: poolmod.PooledMesh) -> poolmod.PooledMesh:
+def _replay_pool(feats: np.ndarray, recorded: poolmod.PooledMesh) -> poolmod.PooledMesh:
     """Re-run only the feature averaging of a recorded pooling stage."""
-    cur = feats
     for rec in recorded.passes:
-        out = np.empty((len(rec.provenance), cur.shape[1]))
-        for j, contrib in enumerate(rec.provenance):
-            out[j] = cur[contrib].sum(axis=0) / len(contrib)
-        cur = out
-    return poolmod.PooledMesh(mesh=recorded.mesh, adjacency=recorded.adjacency,
-                              features=cur, passes=recorded.passes,
-                              pass_count=recorded.pass_count,
-                              stalled=recorded.stalled)
+        feats = rec.provenance.mean(feats)
+    return dataclasses.replace(recorded, features=feats)
 
 
 def global_average_pool(features: np.ndarray) -> np.ndarray:

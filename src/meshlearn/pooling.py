@@ -41,6 +41,54 @@ class PoolRegion:
     merged_vertex: np.ndarray  # collapse point (center face centroid)
 
 
+@dataclass(eq=False)
+class Provenance:
+    """Feature-averaging provenance of one pass in CSR form: new face j is
+    the mean of old faces ``indices[indptr[j]:indptr[j + 1]]``, ascending.
+    Indexing and iteration give those rows."""
+
+    indptr: np.ndarray    # (new faces + 1,) int64 row offsets
+    indices: np.ndarray   # (indptr[-1],) int64 old face ids
+
+    @classmethod
+    def from_pairs(cls, rows: np.ndarray, cols: np.ndarray, num_rows: int) -> Provenance:
+        """CSR of the (row, col) pairs, each row's cols ascending."""
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+        return cls(indptr, cols[np.lexsort((cols, rows))])
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.indices[self.indptr[j]:self.indptr[j + 1]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def segment_sum(self, values: np.ndarray) -> np.ndarray:
+        """Row j: ``values[self[j]]`` added onto zeros strictly left to right,
+        the order of a scalar loop (``np.add.reduceat`` may reassociate)."""
+        counts = np.diff(self.indptr)
+        out = np.zeros((len(self),) + values.shape[1:])
+        for k in range(int(counts.max(initial=0))):
+            live = np.flatnonzero(counts > k)
+            out[live] += values[self.indices[self.indptr[live] + k]]
+        return out
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        """Pooled features: per new face, the mean of its rows of ``x``."""
+        return self.segment_sum(x) / np.diff(self.indptr)[:, None]
+
+    def mean_adjoint(self, grad: np.ndarray, num_old: int) -> np.ndarray:
+        """Adjoint of ``mean``: old face i sums grad[j] / len(row j) over the
+        rows j holding it, in ascending j (the transposed CSR's order)."""
+        counts = np.diff(self.indptr)
+        rows = np.repeat(np.arange(len(self)), counts)
+        return Provenance.from_pairs(self.indices, rows, num_old).segment_sum(
+            grad / counts[:, None])
+
+
 @dataclass
 class PoolPlan:
     """A full pooling pass: compatible regions plus the dense remaps and
@@ -50,7 +98,7 @@ class PoolPlan:
     face_remap: np.ndarray     # (F,) old -> new face id, REMOVED = -1
     vertex_remap: np.ndarray   # (V,) old -> new vertex id
     merged_ids: np.ndarray     # (R,) new vertex id per region
-    provenance: list[list[int]]  # per new face, sorted old contributor ids
+    provenance: Provenance
     num_new_faces: int
     num_new_vertices: int
 
@@ -63,7 +111,7 @@ class PoolPlan:
 class PassRecord:
     """What the backward pass needs from one applied pooling pass."""
 
-    provenance: list[list[int]]
+    provenance: Provenance
     old_num_faces: int
 
 
@@ -299,10 +347,10 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     """
     if target < 4:
         raise ValueError("target face count must be >= 4")
-    F, V = mesh.num_faces, mesh.num_vertices
+    F = mesh.num_faces
     projected = F
     if projected <= target:
-        return _finalize_plan(mesh, [], None, F, V)
+        return _finalize_plan(mesh, [])
     state = _PassState(mesh, adj)
     alive = state.alive
     order = np.lexsort((np.arange(F), weights))
@@ -342,21 +390,17 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
                           merged_vertex=point)
                for (f, removed, ring, cvs), point
                in zip(accepted, mesh.vertices[centers].mean(axis=1))]
-    return _finalize_plan(mesh, regions, state, F, V)
+    return _finalize_plan(mesh, regions)
 
 
-def _finalize_plan(mesh: Mesh, regions: list[PoolRegion],
-                   state: _PassState | None, F: int, V: int) -> PoolPlan:
-    faces = state.faces if state is not None else mesh.faces.tolist()
+def _finalize_plan(mesh: Mesh, regions: list[PoolRegion]) -> PoolPlan:
+    F, V = mesh.num_faces, mesh.num_vertices
     removed_faces = np.zeros(F, dtype=bool)
     removed_faces[[h for r in regions for h in r.removed]] = True
     gone = removed_faces.tolist()
     # rings are trimmed to faces that actually survive the whole pass
-    ring_of: dict[int, list[int]] = {}
-    for ri, r in enumerate(regions):
+    for r in regions:
         r.ring = [g for g in r.ring if not gone[g]]
-        for g in r.ring:
-            ring_of.setdefault(g, []).append(ri)
     survivors = np.flatnonzero(~removed_faces)
     face_remap = np.full(F, -1, dtype=np.int64)
     face_remap[survivors] = np.arange(len(survivors))
@@ -371,15 +415,17 @@ def _finalize_plan(mesh: Mesh, regions: list[PoolRegion],
     vertex_remap[old_vertices] = np.repeat(
         merged_ids, [len(r.old_vertices) for r in regions])
 
-    provenance = [[g] for g in survivors.tolist()]
-    remap = face_remap.tolist()
-    for g, ris in ring_of.items():
-        gvs = set(faces[g])
-        contrib = {g}
-        for ri in ris:
-            contrib.update(h for h in regions[ri].removed
-                           if not gvs.isdisjoint(faces[h]))
-        provenance[remap[g]] = sorted(contrib)
+    # every survivor averages itself and, if it is a ring face, the removed
+    # faces of its regions that share a vertex with it
+    ring = np.array([g for r in regions for g in r.ring for _ in r.removed],
+                    dtype=np.int64)
+    lost = np.array([h for r in regions for _ in r.ring for h in r.removed],
+                    dtype=np.int64)
+    f = mesh.faces
+    touch = (f[ring][:, :, None] == f[lost][:, None, :]).any(axis=(1, 2))
+    provenance = Provenance.from_pairs(
+        np.concatenate([np.arange(len(survivors)), face_remap[ring[touch]]]),
+        np.concatenate([survivors, lost[touch]]), len(survivors))
     return PoolPlan(regions=regions, face_remap=face_remap,
                     vertex_remap=vertex_remap, merged_ids=merged_ids,
                     provenance=provenance,
@@ -387,13 +433,13 @@ def _finalize_plan(mesh: Mesh, regions: list[PoolRegion],
                     num_new_vertices=n_survive + len(regions))
 
 
-def apply_pass(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
-               plan: PoolPlan) -> PooledMesh:
-    """Apply all planned collapses simultaneously.
+def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
+    """Apply all planned collapses simultaneously; each new face gets the
+    provenance mean of the features it absorbs.
 
     The adjacency of the pooled mesh is built anew by ``build_adjacency``,
     whose sort-based construction costs less than patching ring rows of
-    the old table would; ``adj``, the input mesh's table, is not read.
+    the old table would.
     """
     F, V = mesh.num_faces, mesh.num_vertices
     if plan.face_remap.shape[0] != F or plan.vertex_remap.shape[0] != V:
@@ -403,26 +449,17 @@ def apply_pass(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
 
     # surviving vertices keep their coordinates, merged ones get centroids
     new_verts = np.empty((plan.num_new_vertices, 3))
-    keep_mask = np.ones(V, dtype=bool)
-    for r in plan.regions:
-        keep_mask[r.old_vertices] = False
-    new_verts[plan.vertex_remap[keep_mask]] = mesh.vertices[keep_mask]
-    for mid, r in zip(plan.merged_ids, plan.regions):
-        new_verts[mid] = r.merged_vertex
+    new_verts[plan.vertex_remap] = mesh.vertices
+    new_verts[plan.merged_ids] = np.reshape([r.merged_vertex for r in plan.regions],
+                                            (-1, 3))
 
     survive_f = plan.face_remap >= 0
     new_faces = plan.vertex_remap[mesh.faces[survive_f]]
     new_mesh = Mesh(new_verts, new_faces, label=mesh.label, name=mesh.name)
 
-    # feature averaging per provenance
-    C = features.shape[1]
-    new_features = np.empty((plan.num_new_faces, C))
-    for j, contrib in enumerate(plan.provenance):
-        new_features[j] = features[contrib].sum(axis=0) / len(contrib)
-
     record = PassRecord(provenance=plan.provenance, old_num_faces=F)
     return PooledMesh(mesh=new_mesh, adjacency=build_adjacency(new_mesh),
-                      features=new_features,
+                      features=plan.provenance.mean(features),
                       passes=[record], pass_count=1)
 
 
@@ -436,19 +473,16 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
         raise ValueError("target face count must be >= 4")
     passes: list[PassRecord] = []
     current = PooledMesh(mesh=mesh, adjacency=adj, features=features)
-    count = 0
-    while current.mesh.num_faces > target and count < max_passes:
+    while current.mesh.num_faces > target and len(passes) < max_passes:
         weights = compute_face_weights(current.features, current.adjacency)
         plan = plan_pass(current.mesh, current.adjacency, weights, target)
         if not plan.regions:
             break
-        nxt = apply_pass(current.mesh, current.adjacency, current.features, plan)
-        passes.extend(nxt.passes)
-        count += 1
-        current = nxt
+        current = apply_pass(current.mesh, current.features, plan)
+        passes.extend(current.passes)
     return PooledMesh(mesh=current.mesh, adjacency=current.adjacency,
                       features=current.features, passes=passes,
-                      pass_count=count,
+                      pass_count=len(passes),
                       stalled=current.mesh.num_faces > target)
 
 
@@ -463,8 +497,5 @@ def pooling_backward(passes: list[PassRecord], grad_out: np.ndarray) -> np.ndarr
     for rec in reversed(passes):
         if grad.shape[0] != len(rec.provenance):
             raise ValueError("gradient rows do not match pass provenance")
-        out = np.zeros((rec.old_num_faces, grad.shape[1]))
-        for j, contrib in enumerate(rec.provenance):
-            out[contrib] += grad[j] / len(contrib)
-        grad = out
+        grad = rec.provenance.mean_adjoint(grad, rec.old_num_faces)
     return grad

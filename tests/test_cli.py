@@ -49,6 +49,17 @@ def test_info_corrupt_file_exit_2(tmp_path, capsys):
     assert run(["info", str(tmp_path / "missing.off")]) == 2
 
 
+def test_info_non_finite_coordinate_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "nan.off")
+    with open(path, "w") as fh:
+        fh.write("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 nan\n"
+                 "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n")
+    assert run(["info", path]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite vertex coordinate" in captured.err
+    assert "manifold=" not in captured.out
+
+
 def test_unknown_command_exit_2():
     assert run(["frobnicate"]) == 2
 

@@ -51,6 +51,21 @@ def test_load_off_truncated():
         load_off("OFF\n3 1 0\n0 0 0\n1 0 0\n")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_off_non_finite_coordinate_rejected(bad):
+    text = f"OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 {bad}\n" \
+           "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n"
+    with pytest.raises(MeshError, match="non-finite vertex coordinate"):
+        load_off(text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_obj_non_finite_coordinate_rejected(bad):
+    text = f"v 0 0 0\nv {bad} 0 0\nv 0 1 0\nf 1 2 3\n"
+    with pytest.raises(MeshError, match="non-finite vertex coordinate"):
+        load_obj(text)
+
+
 def test_load_obj_quad_rejected():
     text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
     with pytest.raises(MeshError, match="non-triangle face at line 5"):

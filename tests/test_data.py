@@ -1,4 +1,4 @@
-"""Dataset ingestion, splits, preprocessing, synthetic generation."""
+"""Dataset ingestion, splits, synthetic generation, export."""
 
 import hashlib
 import os
@@ -8,7 +8,7 @@ import pytest
 
 from meshlearn.core import MeshError, euler_characteristic, save_off, validate_mesh
 from meshlearn.data import (Dataset, Sample, SyntheticSpec, generate_synthetic,
-                            load_dataset, make_splits, preprocess, write_dataset)
+                            load_dataset, make_splits, write_dataset)
 
 from conftest import single_triangle, tetrahedron
 
@@ -146,14 +146,7 @@ def test_default_band_hits_about_500_faces():
 
 
 # ---------------------------------------------------------------------------
-# preprocessing and export
-
-
-def test_preprocess_is_normalization():
-    mesh = tetrahedron()
-    out = preprocess(mesh.with_geometry(mesh.vertices * 3 + 1.0))
-    assert np.allclose(out.vertices.mean(axis=0), 0, atol=1e-12)
-    assert np.isclose(np.linalg.norm(out.vertices, axis=1).max(), 1.0)
+# export
 
 
 def test_write_dataset_layout_and_manifest(tmp_path):

@@ -104,10 +104,10 @@ def test_geometric_kernel_selectors(rng):
     mesh = jitter_mesh(icosahedron(), rng)
     adj, geo = _inputs(mesh)
     b0 = DescriptorParams(geo=[[0.0] * 3], geom=[[1.0, 0, 0, 0]])
-    assert np.allclose(geometric_forward(mesh, adj, geo, b0),
+    assert np.allclose(geometric_forward(compute_geometric_terms(mesh, adj, geo), b0),
                        geo.face_centroids, atol=1e-15)
     b1 = DescriptorParams(geo=[[0.0] * 3], geom=[[0.0, 1, 0, 0]])
-    assert np.allclose(geometric_forward(mesh, adj, geo, b1),
+    assert np.allclose(geometric_forward(compute_geometric_terms(mesh, adj, geo), b1),
                        geo.face_normals, atol=1e-15)
 
 
@@ -115,7 +115,7 @@ def test_geometric_cross_term_flat_plane_zero():
     mesh = flat_patch()
     adj, geo = _inputs(mesh)
     b3 = DescriptorParams(geo=[[0.0] * 3], geom=[[0.0, 0, 0, 1]])
-    out = geometric_forward(mesh, adj, geo, b3)
+    out = geometric_forward(compute_geometric_terms(mesh, adj, geo), b3)
     assert np.abs(out).max() <= 1e-12   # parallel normals, zero cross products
 
 
@@ -169,7 +169,7 @@ def test_abs_mode_norm_variant(rng):
     mesh = jitter_mesh(icosahedron(), rng)
     adj, geo = _inputs(mesh)
     b2 = DescriptorParams(geo=[[0.0] * 3], geom=[[0.0, 0, 1, 0]])
-    out = geometric_forward(mesh, adj, geo, b2, abs_mode="norm")
+    out = geometric_forward(compute_geometric_terms(mesh, adj, geo, abs_mode="norm"), b2)
     # norm mode broadcasts a scalar per neighbor: all 3 components equal
     assert np.allclose(out[:, 0], out[:, 1]) and np.allclose(out[:, 1], out[:, 2])
     with pytest.raises(ValueError, match="abs_mode"):
@@ -193,8 +193,9 @@ def test_rotation_equivariance_of_normal_terms(rng):
     assert np.allclose(geodesic_forward(rt, a1),
                        geodesic_forward(t, a1) @ R.T, atol=1e-9)
     b1 = DescriptorParams(geo=[[0.0] * 3], geom=[[0.0, 1, 0, 0]])
-    assert np.allclose(geometric_forward(rmesh, radj, rgeo, b1),
-                       geometric_forward(mesh, adj, geo, b1) @ R.T, atol=1e-9)
+    assert np.allclose(geometric_forward(compute_geometric_terms(rmesh, radj, rgeo), b1),
+                       geometric_forward(compute_geometric_terms(mesh, adj, geo), b1) @ R.T,
+                       atol=1e-9)
 
 
 def test_axis_permutation_equivariance_of_abs_terms(rng):

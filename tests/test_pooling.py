@@ -9,9 +9,10 @@ from meshlearn.core import (Mesh, build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 from meshlearn.descriptors import descriptor_forward, init_descriptor_params
-from meshlearn.pooling import (PoolPlan, apply_pass, compute_face_weights,
-                               plan_pass, pool_to_target, pooling_backward,
-                               _finalize_plan)
+from meshlearn.network import _replay_pool
+from meshlearn.pooling import (PassRecord, PoolPlan, Provenance, apply_pass,
+                               compute_face_weights, plan_pass, pool_to_target,
+                               pooling_backward, _finalize_plan)
 
 from conftest import closed_corpus, jitter_mesh, rigid_transform, tetrahedron
 from oracles import oracle_adjacency, oracle_plan_pass, oracle_weights
@@ -186,7 +187,7 @@ def test_apply_empty_plan_identity(rng):
     adj = build_adjacency(mesh)
     feats = rng.normal(size=(20, 3))
     plan = plan_pass(mesh, adj, np.zeros(20), 20)
-    out = apply_pass(mesh, adj, feats, plan)
+    out = apply_pass(mesh, feats, plan)
     assert np.array_equal(out.mesh.vertices, mesh.vertices)
     assert np.array_equal(out.mesh.faces, mesh.faces)
     assert np.array_equal(out.features, feats)
@@ -197,7 +198,7 @@ def test_icosahedron_single_region_counts():
     mesh = icosahedron()
     adj = build_adjacency(mesh)
     plan = plan_pass(mesh, adj, np.zeros(20), 16)
-    out = apply_pass(mesh, adj, np.zeros((20, 2)), plan)
+    out = apply_pass(mesh, np.zeros((20, 2)), plan)
     assert (mesh.num_vertices, mesh.num_faces) == (12, 20)
     assert (out.mesh.num_vertices, out.mesh.num_faces) == (10, 16)
     assert euler_characteristic(mesh) == euler_characteristic(out.mesh) == 2
@@ -209,7 +210,7 @@ def test_constant_features_stay_constant(rng):
     adj = build_adjacency(mesh)
     feats = np.full((mesh.num_faces, 3), 0.5)
     plan = plan_pass(mesh, adj, np.zeros(mesh.num_faces), 40)
-    out = apply_pass(mesh, adj, feats, plan)
+    out = apply_pass(mesh, feats, plan)
     assert np.allclose(out.features, 0.5, atol=1e-15)
 
 
@@ -220,7 +221,7 @@ def test_incremental_adjacency_equals_rebuild(rng):
         adj, feats = _desc_features(mesh, seed=i)
         plan = plan_pass(mesh, adj, compute_face_weights(feats, adj),
                          mesh.num_faces // 2)
-        out = apply_pass(mesh, adj, feats, plan)
+        out = apply_pass(mesh, feats, plan)
         full = build_adjacency(out.mesh)
         assert np.array_equal(out.adjacency.neighbors, full.neighbors)
         assert np.array_equal(out.adjacency.shared_edges, full.shared_edges)
@@ -237,10 +238,9 @@ def test_region_order_reversal(rng):
     adj, feats = _desc_features(mesh)
     plan = plan_pass(mesh, adj, compute_face_weights(feats, adj), 40)
     assert len(plan.regions) >= 2
-    rev = _finalize_plan(mesh, list(reversed(plan.regions)), None,
-                         mesh.num_faces, mesh.num_vertices)
-    a = apply_pass(mesh, adj, feats, plan)
-    b = apply_pass(mesh, adj, feats, rev)
+    rev = _finalize_plan(mesh, list(reversed(plan.regions)))
+    a = apply_pass(mesh, feats, plan)
+    b = apply_pass(mesh, feats, rev)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.adjacency.neighbors, b.adjacency.neighbors)
     assert np.array_equal(plan.face_remap, rev.face_remap)
@@ -404,7 +404,7 @@ def test_backward_mean_adjoint_unit_share():
     mesh = icosahedron()
     adj = build_adjacency(mesh)
     plan = plan_pass(mesh, adj, np.zeros(20), 16)
-    out = apply_pass(mesh, adj, np.zeros((20, 1)), plan)
+    out = apply_pass(mesh, np.zeros((20, 1)), plan)
     sizes = [len(c) for c in plan.provenance]
     j = max(range(len(sizes)), key=lambda k: sizes[k])
     m = sizes[j]
@@ -446,6 +446,56 @@ def test_backward_finite_differences_frozen_plan(rng):
         fd = (lp - lm) / (2 * step)
         denom = max(abs(fd), abs(gflat[c]), 1e-8)
         assert abs(fd - gflat[c]) / denom <= 1e-4
+
+
+def _mean_reference(x, provenance):
+    return np.stack([x[c].sum(axis=0) / len(c) for c in provenance])
+
+
+def _adjoint_reference(g, provenance, num_old):
+    out = np.zeros((num_old, g.shape[1]))
+    for j, c in enumerate(provenance):
+        out[c] += g[j] / len(c)
+    return out
+
+
+@pytest.mark.parametrize("builder, target", [(lambda: box(4), 48),
+                                             (lambda: icosphere(2), 60),
+                                             (lambda: torus(12, 8), 48)],
+                         ids=["box", "icosphere", "torus"])
+def test_averaging_bit_equals_per_row_reference(builder, target):
+    """Forward (apply_pass), replay and backward of multi-pass pooling are
+    byte-identical to per-row loops, -0.0 entries included. The features
+    have many channels, where ``sum(axis=0)`` adds rows left to right."""
+    rng = np.random.default_rng(5)
+    mesh = jitter_mesh(builder(), rng)
+    adj, feats = _desc_features(mesh)
+    feats[::3, ::2] = -0.0
+    pooled = pool_to_target(mesh, adj, feats, target)
+    assert pooled.pass_count >= 2
+    x = feats
+    for rec in pooled.passes:
+        x = _mean_reference(x, rec.provenance)
+    assert pooled.features.tobytes() == x.tobytes()
+    assert _replay_pool(feats, pooled).features.tobytes() == x.tobytes()
+    grad = rng.normal(size=x.shape)
+    grad[::2, 1::2] = -0.0
+    g = grad
+    for rec in reversed(pooled.passes):
+        g = _adjoint_reference(g, rec.provenance, rec.old_num_faces)
+    assert pooling_backward(pooled.passes, grad).tobytes() == g.tobytes()
+
+
+def test_backward_zero_for_faces_in_no_row():
+    # old faces 1 and 4 feed no new face: empty rows of the transpose
+    prov = Provenance(indptr=np.array([0, 2, 3]), indices=np.array([0, 2, 3]))
+    assert len(prov) == 2 and [c.tolist() for c in prov] == [[0, 2], [3]]
+    x = np.arange(10.0).reshape(5, 2)
+    assert prov.mean(x).tobytes() == _mean_reference(x, prov).tobytes()
+    grad = np.array([[1.0, -0.0], [3.0, -2.0]])
+    g = pooling_backward([PassRecord(prov, old_num_faces=5)], grad)
+    assert g.tobytes() == _adjoint_reference(grad, prov, 5).tobytes()
+    assert g[[1, 4]].tobytes() == np.zeros((2, 2)).tobytes()
 
 
 def test_backward_provenance_mismatch(rng):
