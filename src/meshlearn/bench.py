@@ -10,8 +10,7 @@ over the batches. Peak resident memory is reported best-effort (Linux
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +28,15 @@ class BenchReport:
     faces: int
     batch_size: int
     num_batches: int
-    threads: int
     phase_mean_ms: dict[str, float]
     phase_std_ms: dict[str, float]
     removal_fraction: float
     peak_rss_mb: float | None
     checksum: float
-    extras: dict = field(default_factory=dict)
 
     def lines(self) -> list[str]:
         out = [f"faces={self.faces} batch={self.batch_size} "
-               f"batches={self.num_batches} threads={self.threads}"]
+               f"batches={self.num_batches}"]
         for p in PHASES:
             out.append(f"phase={p} mean_ms={self.phase_mean_ms[p]:.3f} "
                        f"std_ms={self.phase_std_ms[p]:.3f}")
@@ -98,8 +95,7 @@ def _mesh_work(item, params, config, kernel_size):
 
 
 def run_benchmark(faces: int = 500, batch_size: int = 50, num_batches: int = 50,
-                  threads: int = 1, seed: int = 0,
-                  kernel_size: int = 6) -> BenchReport:
+                  seed: int = 0, kernel_size: int = 6) -> BenchReport:
     """Time descriptor/conv/pool forward+backward over repeated batches."""
     if batch_size < 1 or num_batches < 1:
         raise ValueError("batch size and batch count must be >= 1")
@@ -116,13 +112,8 @@ def run_benchmark(faces: int = 500, batch_size: int = 50, num_batches: int = 50,
     removal, checksum = [], 0.0
     for b in range(num_batches):
         sums = {p: 0.0 for p in PHASES}
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(
-                    lambda it: _mesh_work(it, params, config, kernel_size), items))
-        else:
-            results = [_mesh_work(it, params, config, kernel_size) for it in items]
-        for t, frac, cs in results:
+        for item in items:
+            t, frac, cs = _mesh_work(item, params, config, kernel_size)
             for p in PHASES:
                 sums[p] += t[p]
             if b == 0:
@@ -132,7 +123,6 @@ def run_benchmark(faces: int = 500, batch_size: int = 50, num_batches: int = 50,
             per_batch[p].append(sums[p] * 1000.0)
     return BenchReport(
         faces=faces, batch_size=batch_size, num_batches=num_batches,
-        threads=threads,
         phase_mean_ms={p: float(np.mean(per_batch[p])) for p in PHASES},
         phase_std_ms={p: float(np.std(per_batch[p])) for p in PHASES},
         removal_fraction=float(np.mean(removal)) if removal else 0.0,

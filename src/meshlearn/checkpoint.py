@@ -14,8 +14,10 @@ Byte layout (all integers little-endian, floats IEEE-754 little-endian):
         dims     ndim x u64
         data     row-major, element width 8
 
-Round-trips are bit-exact; loading verifies magic, version and
-truncation, and optionally an expected model config.
+Round-trips are bit-exact. Loading verifies magic, version, truncation
+and trailing bytes, that the config holds exactly the ``ModelConfig``
+fields, that the arrays have the names, shapes and dtype that config
+needs, and optionally that the config equals an expected one.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import struct
 import numpy as np
 
 from . import network as net
-from .descriptors import DescriptorParams
-from .conv import ConvParams
 
 MAGIC = b"MLCK"
 VERSION = 1
@@ -92,40 +92,53 @@ def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<Q", take(8))
-    cfg = json.loads(bytes(take(cfg_len)).decode())
-    for k in ("block_channels", "region_sizes", "t_schedule"):
-        cfg[k] = tuple(cfg[k])
-    config = net.ModelConfig(**cfg)
+    config, params = _config_from_json(bytes(take(cfg_len)))
     if expected_config is not None and _config_dict(expected_config) != _config_dict(config):
         raise CheckpointError("checkpoint config does not match expected config")
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        # an undecodable name cannot match a needed one; see the check below
+        name = bytes(take(name_len)).decode(errors="replace")
         code, ndim = struct.unpack("<BB", take(2))
         dims = struct.unpack("<%dQ" % ndim, take(8 * ndim)) if ndim else ()
+        if code not in _DTYPES:
+            raise CheckpointError(f"unknown dtype code {code} for array {name!r}")
         n = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(take(8 * n), dtype=_DTYPES[code]).reshape(dims)
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="))
-    params = _params_from_arrays(arrays, config)
+    if pos != len(view):
+        raise CheckpointError(f"{len(view) - pos} trailing bytes after the last array")
+    needed = params.named_arrays()
+    if ({k: (a.shape, a.dtype) for k, a in arrays.items()}
+            != {k: (a.shape, a.dtype) for k, a in needed}):
+        raise CheckpointError("checkpoint arrays do not have the names, shapes "
+                              "and dtype its config needs")
+    for name, arr in needed:
+        arr[...] = arrays[name]
     return params, config
 
 
-def _params_from_arrays(arrays: dict[str, np.ndarray],
-                        config: net.ModelConfig) -> net.ModelParams:
+def _config_from_json(blob: bytes) -> tuple[net.ModelConfig, net.ModelParams]:
+    """The stored model config, and parameters of the shapes it needs for
+    the stored arrays to fill."""
     try:
-        dp = DescriptorParams(arrays["descriptor.geo"], arrays["descriptor.geom"])
-        layers = []
-        i = 0
-        while f"conv{i}.w0" in arrays:
-            layers.append(ConvParams(arrays[f"conv{i}.w0"], arrays[f"conv{i}.w1"],
-                                     arrays[f"conv{i}.w2"], arrays[f"conv{i}.bias"]))
-            i += 1
-        return net.ModelParams(dp, layers, arrays["classifier.w"],
-                               arrays["classifier.b"])
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint missing array {e}") from None
+        cfg = json.loads(blob.decode())
+    except ValueError as e:
+        raise CheckpointError(f"unreadable checkpoint config: {e}") from None
+    fields = {f.name for f in dataclasses.fields(net.ModelConfig)}
+    keys = set(cfg) if isinstance(cfg, dict) else set()
+    if keys != fields:
+        raise CheckpointError(f"checkpoint config has unknown keys {sorted(keys - fields)} "
+                              f"and lacks keys {sorted(fields - keys)}")
+    try:
+        for k in ("block_channels", "region_sizes", "t_schedule"):
+            cfg[k] = tuple(cfg[k])
+        config = net.ModelConfig(**cfg)
+        return config, net.init_params(config)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"invalid checkpoint config: {e}") from None
 
 
 def checkpoint_digest(path: str) -> str:

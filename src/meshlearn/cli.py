@@ -200,7 +200,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     report = benchmod.run_benchmark(
         faces=args.faces, batch_size=args.batch, num_batches=args.passes,
-        threads=args.threads, seed=args.seed)
+        seed=args.seed)
     for line in report.lines():
         print(line)
     if args.report:
@@ -220,8 +220,7 @@ def cmd_gradcheck(args) -> int:
                              block_channels=(8, 8, 8), region_sizes=(3, 4, 5),
                              t_schedule=(max(8, t), max(7, t - 6), max(6, t - 12)))
     report = net.grad_check(config, mesh, tolerance=args.tolerance,
-                            linear_only=args.linear,
-                            corrupt_group=args.corrupt or None)
+                            linear_only=args.linear)
     for group, err in sorted(report["groups"].items()):
         print(f"group={group} max_rel_err={err:.3e} "
               f"{'ok' if err <= report['tolerance'] else 'FAIL'}")
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--passes", type=int, default=50,
                     help="number of repeated batches")
     sp.add_argument("--batch", type=int, default=50)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--report", help="also write CSV here")
     sp.set_defaults(func=cmd_bench)
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--linear", action="store_true",
                     help="abs-free configuration (tolerance 1e-6 territory)")
-    sp.add_argument("--corrupt", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_gradcheck)
     return p
 

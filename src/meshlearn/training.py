@@ -95,15 +95,6 @@ def make_optimizer(cfg: TrainConfig):
     raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
 
 
-def optimizer_step(params: net.ModelParams, grads: net.ModelParams,
-                   cfg: TrainConfig, state=None):
-    """Single functional-style update; returns (params, state)."""
-    if state is None:
-        state = make_optimizer(cfg)
-    state.step(params, grads)
-    return params, state
-
-
 @dataclass
 class EpochMetrics:
     epoch: int

@@ -1,5 +1,6 @@
 """Versioned checkpoint container: round trips, digests, error paths."""
 
+import json
 import struct
 
 import numpy as np
@@ -75,3 +76,49 @@ def test_digest_stable_across_saves(tmp_path):
     assert checkpoint_digest(p1) == checkpoint_digest(p2)
     save_checkpoint(p2, _params(config, seed=1), config)
     assert checkpoint_digest(p1) != checkpoint_digest(p2)
+
+
+# Each malformed checkpoint, with the message its CheckpointError carries.
+DEFECTS = {
+    "unknown_dtype": "dtype code 7",
+    "unknown_config_key": r"unknown keys \['dropout'\]",
+    "missing_config_key": r"lacks keys \['block_channels'\]",
+    "trailing_bytes": "8 trailing bytes",
+    "missing_conv_layers": "names, shapes",
+    "non_utf8_name": "names, shapes",
+}
+
+
+def write_malformed(path, defect):
+    """Save a checkpoint of ``small_config`` at ``path`` with one defect."""
+    config = small_config()
+    params = _params(config)
+    if defect == "missing_conv_layers":
+        params.conv_layers = params.conv_layers[:3]    # the config needs 6
+    save_checkpoint(path, params, config)
+    data = bytearray(open(path, "rb").read())
+    (cfg_len,) = struct.unpack_from("<Q", data, 8)
+    cfg = json.loads(bytes(data[16:16 + cfg_len]))
+    rest = data[16 + cfg_len:]     # array count, then the arrays
+    if defect == "unknown_dtype":
+        (name_len,) = struct.unpack_from("<H", rest, 4)
+        rest[6 + name_len] = 7     # the first array's dtype code
+    elif defect == "unknown_config_key":
+        cfg["dropout"] = 0.5
+    elif defect == "missing_config_key":
+        del cfg["block_channels"]
+    elif defect == "trailing_bytes":
+        rest += bytes(8)
+    elif defect == "non_utf8_name":
+        rest[6] = 0xFF             # the first byte of the first array's name
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(bytes(data[:8]) + struct.pack("<Q", len(blob)) + blob + bytes(rest))
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_malformed_checkpoint_rejected(tmp_path, defect):
+    path = str(tmp_path / "bad.ckpt")
+    write_malformed(path, defect)
+    with pytest.raises(CheckpointError, match=DEFECTS[defect]):
+        load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from meshlearn.data import (SyntheticSpec, generate_synthetic, icosphere,
                             torus, write_dataset)
 
 from conftest import tetrahedron
+from test_checkpoint import DEFECTS, write_malformed
+from test_network import corrupt_conv_gradients
 
 
 def run(argv):
@@ -274,6 +277,16 @@ def test_eval_empty_split_and_class_mismatch(tmp_path, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys, defect):
+    _, root = _synthetic_root(tmp_path, per_class=1)
+    ckpt_path = str(tmp_path / "bad.ckpt")
+    write_malformed(ckpt_path, defect)
+    assert run(["eval", ckpt_path, "--data", root]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(DEFECTS[defect], err)
+
+
 # ---------------------------------------------------------------------------
 # bench and gradcheck
 
@@ -306,6 +319,7 @@ def test_gradcheck_linear_tight(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_gradcheck_corrupt_fails(capsys):
-    assert run(["gradcheck", "--faces", "40", "--corrupt", "conv"]) == 1
+def test_gradcheck_corrupt_fails(capsys, monkeypatch):
+    corrupt_conv_gradients(monkeypatch)
+    assert run(["gradcheck", "--faces", "40"]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -247,9 +247,54 @@ def test_grad_check_linear_only_tight():
     assert report["passed"], report
 
 
-def test_grad_check_corrupt_negative_control():
-    report = net.grad_check(small_config(), small_mesh(seed=2),
-                            tolerance=1e-3, corrupt_group="conv")
+def test_crosses_kink_counts_nonzero_sign_flips_only():
+    base = [np.sign(np.array([0.5, -2.0, 0.0])), np.sign(np.array([[3.0]]))]
+    same = [np.sign(np.array([0.1, -1.0, 0.0])), np.sign(np.array([[1.0]]))]
+    assert not net._crosses_kink(base, same)
+    moved_zero = [np.sign(np.array([0.5, -2.0, -1e-9])), base[1]]
+    assert not net._crosses_kink(base, moved_zero)
+    flipped = [np.sign(np.array([0.5, 1e-9, 0.0])), base[1]]
+    assert net._crosses_kink(base, flipped)
+    to_zero = [base[0], np.sign(np.array([[0.0]]))]
+    assert net._crosses_kink(base, to_zero)
+
+
+def test_grad_check_shrinks_step_across_kink():
+    # with this mesh the steps 1e-5 and 1e-6 carry an abs/ReLU argument
+    # across its kink for some probes, which pass at 1e-7
+    report = net.grad_check(small_config(), small_mesh(seed=3), tolerance=1e-3)
+    assert report["step"] < 1e-5
+    assert report["step"] == pytest.approx(1e-7)
+    assert report["passed"], report
+
+
+def test_grad_check_fails_when_every_step_crosses(monkeypatch):
+    monkeypatch.setattr(net, "_crosses_kink", lambda base, probe: True)
+    report = net.grad_check(small_config(), small_mesh(seed=2), tolerance=1e-3)
+    assert not report["passed"]
+    assert report["max_error"] == np.inf
+    linear = net.grad_check(small_config(), small_mesh(seed=2),
+                            tolerance=1e-6, linear_only=True)
+    assert linear["passed"]      # no kinks are tested without abs/ReLU
+
+
+def corrupt_conv_gradients(monkeypatch):
+    """Make ``model_backward`` add 1 to every conv gradient entry."""
+    backward = net.model_backward
+
+    def corrupted(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        for name, arr in grads.named_arrays():
+            if name.startswith("conv"):
+                arr += 1.0
+        return grads
+
+    monkeypatch.setattr(net, "model_backward", corrupted)
+
+
+def test_grad_check_corrupt_negative_control(monkeypatch):
+    corrupt_conv_gradients(monkeypatch)
+    report = net.grad_check(small_config(), small_mesh(seed=2), tolerance=1e-3)
     assert not report["passed"]
     bad = [g for g, e in report["groups"].items()
            if g.startswith("conv") and e > 1e-3]

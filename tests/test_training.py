@@ -5,7 +5,7 @@ import pytest
 
 import meshlearn.network as net
 from meshlearn.training import (Adam, SGDMomentum, TrainConfig, evaluate,
-                                make_optimizer, optimizer_step, train, _prepare)
+                                make_optimizer, train, _prepare)
 
 from test_network import small_config, small_mesh
 
@@ -86,8 +86,9 @@ def test_optimizer_step_functional_form():
     grads.classifier_b[:] = 1.0
     cfg = TrainConfig(learning_rate=0.1, momentum=0.0, optimizer="sgd")
     p0 = params.classifier_b.copy()
-    params, state = optimizer_step(params, grads, cfg)
-    assert isinstance(state, SGDMomentum)
+    opt = make_optimizer(cfg)
+    assert isinstance(opt, SGDMomentum)
+    opt.step(params, grads)
     assert np.allclose(params.classifier_b, p0 - 0.1, atol=1e-15)
     with pytest.raises(ValueError, match="optimizer"):
         make_optimizer(TrainConfig(optimizer="bogus"))
