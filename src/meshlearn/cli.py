@@ -32,6 +32,8 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 _MODEL_KEYS = {f.name: f for f in dataclasses.fields(net.ModelConfig)}
 _TRAIN_KEYS = {f.name: f for f in dataclasses.fields(training.TrainConfig)}
 _SYNTH_KEYS = {f.name: f for f in dataclasses.fields(SyntheticSpec)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -49,20 +51,21 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(field: dataclasses.Field, raw: str):
-    t = field.type
-    if "tuple" in str(t):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            return tuple(parts)
-    if "bool" in str(t):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if "int" in str(t):
-        return int(raw)
-    if "float" in str(t):
-        return float(raw)
-    return raw
+    t = str(field.type)
+    try:
+        if "tuple" in t:
+            parts = tuple(raw.replace(",", " ").split())
+            return tuple(int(p) for p in parts) if "int" in t else parts
+        if "bool" in t:
+            return _BOOL_WORDS[raw.lower()]
+        if "int" in t:
+            return int(raw)
+        if "float" in t:
+            return float(raw)
+        return raw
+    except (KeyError, ValueError):
+        raise ValueError(f"config value {field.name} = {raw!r} is not "
+                         f"a {t}") from None
 
 
 def build_configs(values: dict[str, str]):

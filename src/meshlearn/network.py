@@ -46,6 +46,9 @@ class ModelConfig:
         if min(self.num_classes, self.k_geo, self.k_geom,
                self.convs_per_block, min(self.block_channels)) < 1:
             raise ValueError("all sizes must be >= 1")
+        if self.head not in ("linear", "channel_gap"):
+            raise ValueError(f"unknown head {self.head!r} "
+                             "(expected 'linear' or 'channel_gap')")
 
     @property
     def num_blocks(self) -> int:

@@ -14,9 +14,15 @@ combined result of all selections so far: a candidate is accepted only
 if, after applying every accepted collapse simultaneously, each affected
 edge still has exactly two incident faces (or vanishes entirely with
 them), orientation stays consistent, no face degenerates or duplicates,
-and no vertex is left without a face. Removed sets are pairwise
-disjoint and no vertex is merged by two regions, so all collapses of a
-pass commute and can be applied simultaneously in any order.
+and no vertex is left without a face. The edge conditions need only the
+merge point: old edges at the center vertices vanish with the removed
+and ring faces, ring-face edges away from them are unchanged, and every
+new edge touches the fresh merge point, which no earlier face holds. So
+the ring's half-edges out of the merge point must end at distinct
+vertices, those into it too, and both sets of ends must agree. Removed
+sets are pairwise disjoint and no vertex is merged by two regions, so
+all collapses of a pass commute and can be applied simultaneously in any
+order.
 """
 
 from __future__ import annotations
@@ -121,8 +127,11 @@ class PooledMesh:
     adjacency: AdjacencyMatrix
     features: np.ndarray
     passes: list[PassRecord] = field(default_factory=list)
-    pass_count: int = 0
     stalled: bool = False
+
+    @property
+    def pass_count(self) -> int:
+        return len(self.passes)
 
 
 def compute_face_weights(features: np.ndarray, adj: AdjacencyMatrix) -> np.ndarray:
@@ -172,23 +181,6 @@ def _vertex_to_faces(mesh: Mesh) -> list[list[int]]:
     return [faces_of[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _key_counts(keys: np.ndarray) -> dict[int, int]:
-    uniq, counts = np.unique(keys, return_counts=True)
-    return dict(zip(uniq.tolist(), counts.tolist()))
-
-
-def _count_edges(tri, sgn: int, ecount: dict, dcount: dict, M: int) -> None:
-    """Add ``sgn`` times the edges of face ``tri`` to the undirected and
-    directed edge counts, keyed ``u * M + w``."""
-    a, b, c = tri
-    for u, w in ((a, b), (b, c), (c, a)):
-        k = u * M + w
-        dcount[k] = dcount.get(k, 0) + sgn
-        if u > w:
-            k = w * M + u
-        ecount[k] = ecount.get(k, 0) + sgn
-
-
 BLOCKED = False   # try_candidate: the face can never collapse in this pass
 
 
@@ -197,22 +189,31 @@ class _PassState:
 
     Tracks, for the hypothetical mesh obtained by applying every accepted
     collapse simultaneously: which input faces are still present, their
-    current (partially merged) vertex triples, undirected and directed
-    edge incidence counts and per-vertex face counts. A candidate collapse
-    is accepted only if committing it keeps every one of those
-    observations manifold-consistent.
+    current (partially merged) vertex triples and per-vertex face counts.
 
-    Everything is held in flat Python lists and int-keyed dicts, which
-    index far faster one element at a time than NumPy rows: ``faces`` and
-    ``neighbors`` are the input tables as lists, ``post`` the current
-    triple per face. Merge points get vertex ids (tokens) from V upwards;
-    an edge (u, w) is keyed ``u * M + w``, with ``M = V + F`` above every
-    token.
+    A collapse merges the center vertices into a fresh token t (vertex ids
+    from V upwards), deletes ``removed`` and rewrites each ring triple.
+    Whether the edges stay 2-manifold and consistently oriented is decided
+    by the ring's new triples alone:
+
+    - old edges always pass: every old edge at a center vertex lies only
+      in faces of removed + ring, so it disappears with them;
+    - ring-face edges cancel: a ring face's edge away from the center
+      vertices is the same edge before and after;
+    - only new edges matter: each touches t, which no earlier face holds.
+
+    Read each new triple as an outgoing half-edge (t, next) and an
+    incoming (prev, t). Every edge (t, x) then has one face on each side
+    exactly when the outgoing ends are distinct, the incoming ends are
+    distinct, and the two sets are equal.
+
+    Everything is held in flat Python lists, which index far faster one
+    element at a time than NumPy rows: ``faces`` and ``neighbors`` are the
+    input tables as lists, ``post`` the current triple per face.
     """
 
     def __init__(self, mesh: Mesh, adj: AdjacencyMatrix):
         F, V = mesh.num_faces, mesh.num_vertices
-        self.M = M = V + F
         self.faces = mesh.faces.tolist()
         self.neighbors = adj.neighbors.tolist()
         self.v2f = _vertex_to_faces(mesh)
@@ -223,18 +224,13 @@ class _PassState:
         self.post = list(self.faces)
         self.claimed = [False] * V       # old vertex merged by a region
         self.next_token = V
-        tri = mesh.faces
-        nxt = np.roll(tri, -1, axis=1)
-        self.dcount = _key_counts(tri * M + nxt)
-        self.ecount = _key_counts(np.minimum(tri, nxt) * M + np.maximum(tri, nxt))
-        self.vcount = np.bincount(tri.ravel(), minlength=M).tolist()
+        self.vcount = np.bincount(mesh.faces.ravel(), minlength=V + F).tolist()
 
     def try_candidate(self, f: int):
         """Return the collapse of f as (removed, ring, new_tris,
-        center_verts, edge_delta, directed_delta) if it is compatible with
-        everything accepted so far. Otherwise return BLOCKED if no later
-        commit can make it compatible, or None if the simulation rejects
-        it for now."""
+        center_verts) if it is compatible with everything accepted so far.
+        Otherwise return BLOCKED if no later commit can make it
+        compatible, or None if the simulation rejects it for now."""
         row = self.neighbors[f]
         if NONE in row:
             return BLOCKED
@@ -256,32 +252,26 @@ class _PassState:
         removed = sorted(nbs)
         v2f = self.v2f
         ring = sorted({h for v in cvs for h in v2f[v] if alive[h]} - nbs)
-        token, M, post = self.next_token, self.M, self.post
+        token, post = self.next_token, self.post
 
-        de: dict[int, int] = {}
-        dd: dict[int, int] = {}
-        for h in removed:
-            _count_edges(post[h], -1, de, dd, M)
         new_tris = {}
+        outs, ins = [], []      # ends of the half-edges (t, next), (prev, t)
         for h in ring:
-            old = post[h]
-            nt = tuple(token if v in cvs else v for v in old)
+            nt = tuple(token if v in cvs else v for v in post[h])
             if len(set(nt)) < 3:
                 return None  # face would degenerate under the merge
-            _count_edges(old, -1, de, dd, M)
-            _count_edges(nt, 1, de, dd, M)
+            i = nt.index(token)
+            outs.append(nt[i - 2])
+            ins.append(nt[i - 1])
             new_tris[h] = nt
+        # ins is as long as outs, so equal sets also make ins distinct
+        ends = set(outs)
+        if len(ends) < len(outs) or set(ins) != ends:
+            return None  # an edge at the merge point not 2-manifold or oriented
         # every new triple holds the fresh token, so it can only duplicate
         # another new triple, never a face present before
         if len({frozenset(nt) for nt in new_tris.values()}) < len(new_tris):
             return None  # duplicate face after the merge
-        ecount, dcount = self.ecount, self.dcount
-        for e, s in de.items():
-            if s and ecount.get(e, 0) + s not in (0, 2):
-                return None  # edge would not stay 2-manifold
-        for d, s in dd.items():
-            if s and dcount.get(d, 0) + s > 1:
-                return None  # orientation would break
         # no surviving vertex may lose its last face
         lost: dict[int, int] = {}
         for h in removed:
@@ -292,16 +282,12 @@ class _PassState:
         for v, n in lost.items():
             if vcount[v] - n <= 0:
                 return None
-        return removed, ring, new_tris, sorted(cvs), de, dd
+        return removed, ring, new_tris, sorted(cvs)
 
     def commit(self, f: int, candidate) -> None:
         """Apply an accepted ``try_candidate`` result to the simulation."""
-        removed, ring, new_tris, cvs, de, dd = candidate
-        ecount, dcount, post, vcount = self.ecount, self.dcount, self.post, self.vcount
-        for e, s in de.items():
-            ecount[e] = ecount.get(e, 0) + s
-        for d, s in dd.items():
-            dcount[d] = dcount.get(d, 0) + s
+        removed, ring, new_tris, cvs = candidate
+        post, vcount = self.post, self.vcount
         for h in removed:
             for v in post[h]:
                 vcount[v] -= 1
@@ -377,7 +363,7 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
         if not cand:
             settled[f] = cand is BLOCKED
             continue
-        removed, ring, _, cvs, _, _ = cand
+        removed, ring, _, cvs = cand
         accepted.append((f, removed, ring, cvs))
         state.commit(f, cand)
         projected -= len(removed)
@@ -460,7 +446,7 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
     record = PassRecord(provenance=plan.provenance, old_num_faces=F)
     return PooledMesh(mesh=new_mesh, adjacency=build_adjacency(new_mesh),
                       features=plan.provenance.mean(features),
-                      passes=[record], pass_count=1)
+                      passes=[record])
 
 
 def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
@@ -482,7 +468,6 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
         passes.extend(current.passes)
     return PooledMesh(mesh=current.mesh, adjacency=current.adjacency,
                       features=current.features, passes=passes,
-                      pass_count=len(passes),
                       stalled=current.mesh.num_faces > target)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from meshlearn.core import Mesh
+from meshlearn.core import Mesh, validate_mesh
 from meshlearn.data import (box, icosahedron, icosphere, octahedron,
                             random_rotation, subdivide, torus)
 
@@ -57,6 +57,37 @@ def closed_corpus(max_faces: int = 100, seeds=range(50)) -> list[Mesh]:
         base = bases[seed % len(bases)]
         out.append(rigid_transform(jitter_mesh(base, rng), rng))
     return out
+
+
+def flip_edges(mesh: Mesh, rng: np.random.Generator, flips: int) -> Mesh:
+    """Up to ``flips`` random edge flips of a closed mesh. The two faces
+    (a, b, c) and (b, a, d) at edge ab become (a, d, c) and (d, b, c); a
+    flip that breaks validity or duplicates a face is undone."""
+    faces = mesh.faces.copy()
+    for _ in range(flips):
+        f = int(rng.integers(len(faces)))
+        s = int(rng.integers(3))
+        a, b, c = (int(x) for x in np.roll(faces[f], -s))
+        g = np.flatnonzero(((faces == b) & (np.roll(faces, -1, axis=1) == a))
+                           .any(axis=1))
+        if len(g) != 1:
+            continue
+        g = int(g[0])
+        d = int(sum(faces[g].tolist()) - a - b)
+        if d == c:
+            continue
+        trial = faces.copy()
+        trial[f], trial[g] = (a, d, c), (d, b, c)
+        if (validate_mesh(Mesh(mesh.vertices, trial)).ok
+                and len(np.unique(np.sort(trial, axis=1), axis=0)) == len(trial)):
+            faces = trial
+    return Mesh(mesh.vertices, faces)
+
+
+def disjoint_union(a: Mesh, b: Mesh, offset: float = 4.0) -> Mesh:
+    """Both meshes as one, ``b`` shifted by ``offset`` along every axis."""
+    return Mesh(np.vstack([a.vertices, b.vertices + offset]),
+                np.vstack([a.faces, b.faces + a.num_vertices]))
 
 
 def single_triangle() -> Mesh:

@@ -86,6 +86,7 @@ DEFECTS = {
     "trailing_bytes": "8 trailing bytes",
     "missing_conv_layers": "names, shapes",
     "non_utf8_name": "names, shapes",
+    "unknown_head": "unknown head 'foo'",
 }
 
 
@@ -109,6 +110,8 @@ def write_malformed(path, defect):
         del cfg["block_channels"]
     elif defect == "trailing_bytes":
         rest += bytes(8)
+    elif defect == "unknown_head":
+        cfg["head"] = "foo"
     elif defect == "non_utf8_name":
         rest[6] = 0xFF             # the first byte of the first array's name
     blob = json.dumps(cfg, sort_keys=True).encode()

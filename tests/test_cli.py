@@ -189,6 +189,18 @@ def test_train_malformed_config_line(tmp_path, capsys):
     assert run(["train", "--synthetic", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("line, message", [
+    ("block_channels = a b c", "block_channels = 'a b c' is not a tuple"),
+    ("use_activation = banana", "use_activation = 'banana' is not a bool"),
+    ("head = foo", "unknown head 'foo'"),
+], ids=["int_tuple", "bool_word", "head"])
+def test_train_malformed_config_value_exit_2(tmp_path, capsys, line, message):
+    cfg = _write_config(tmp_path, line + "\n")
+    out = str(tmp_path / "run")
+    assert run(["train", "--synthetic", "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_train_synthetic_writes_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "run")

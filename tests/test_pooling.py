@@ -14,7 +14,8 @@ from meshlearn.pooling import (PassRecord, PoolPlan, Provenance, apply_pass,
                                compute_face_weights, plan_pass, pool_to_target,
                                pooling_backward, _finalize_plan)
 
-from conftest import closed_corpus, jitter_mesh, rigid_transform, tetrahedron
+from conftest import (closed_corpus, disjoint_union, flip_edges, jitter_mesh,
+                      rigid_transform, tetrahedron)
 from oracles import oracle_adjacency, oracle_plan_pass, oracle_weights
 
 
@@ -114,7 +115,14 @@ def test_plan_matches_oracle_small_corpus():
 
 
 PROPERTY_MESHES = [box(1), box(2), icosahedron(), icosphere(1), torus(5, 3),
-                   torus(6, 4)]
+                   torus(6, 4),
+                   # closed but irregular: edge-flipped, and two components
+                   flip_edges(icosphere(1), np.random.default_rng(1), 30),
+                   flip_edges(box(2), np.random.default_rng(2), 20),
+                   flip_edges(torus(6, 4), np.random.default_rng(3), 15),
+                   disjoint_union(icosahedron(), box(1)),
+                   disjoint_union(torus(5, 3), flip_edges(box(2),
+                                                          np.random.default_rng(4), 20))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,6 +330,33 @@ def test_pool_to_target_out_of_passes_is_stall():
     assert out.pass_count == 1
     assert out.mesh.num_faces == 572
     assert out.stalled
+
+
+BORDER_BASES = [icosahedron(), icosphere(1), box(2), torus(6, 4), torus(8, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pool_bordered_keeps_topology_property(data):
+    """Pooling a mesh with holes keeps its Euler characteristic and border,
+    and stays manifold, oriented and free of degenerate faces."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mesh = jitter_mesh(data.draw(st.sampled_from(BORDER_BASES)), rng)
+    if data.draw(st.booleans()):
+        mesh = flip_edges(mesh, rng, mesh.num_faces // 4)
+    drop = data.draw(st.lists(st.integers(0, mesh.num_faces - 1),
+                              min_size=1, max_size=3, unique=True))
+    mesh = Mesh(mesh.vertices, np.delete(mesh.faces, drop, axis=0))
+    before = validate_mesh(mesh)
+    chi = euler_characteristic(mesh)
+    adj = build_adjacency(mesh)
+    feats = rng.integers(0, 3, size=(mesh.num_faces, 2)).astype(float)
+    for target in (mesh.num_faces // 2, mesh.num_faces // 4):
+        out = pool_to_target(mesh, adj, feats, max(4, target))
+        report = validate_mesh(out.mesh)
+        assert report.ok
+        assert report.border_edges == before.border_edges
+        assert euler_characteristic(out.mesh) == chi
 
 
 def test_torus_topology_preserved(rng):
