@@ -148,15 +148,16 @@ def _load_train_test(args, synth_kw):
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     model_kw, train_kw, synth_kw = build_configs(values)
-    train_sets = _load_train_test(args, synth_kw)
-    tr, te = train_sets
-    model_kw.setdefault("num_classes", tr.num_classes)
     if args.epochs is not None:
         train_kw["epochs"] = args.epochs
     if args.threads is not None:
         train_kw["threads"] = args.threads
+    # both configs are checked before any data is generated or loaded
     model_config = net.ModelConfig(**model_kw)
     train_config = training.TrainConfig(**train_kw)
+    tr, te = _load_train_test(args, synth_kw)
+    if "num_classes" not in model_kw:
+        model_config = dataclasses.replace(model_config, num_classes=tr.num_classes)
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.txt")
     ckpt_path = os.path.join(args.out, "best.ckpt")

@@ -7,6 +7,15 @@ For a face f with surrounding faces n in its region:
 followed by an optional ReLU. Both sums are order invariant; in addition
 contributions are accumulated in ascending face-id order so the result
 is bit-identical under any permutation of the stored region list.
+
+Regions of all faces grow at once by a lockstep BFS. Each region table
+builds its sparse structure once: canonical member order, validity mask,
+padded rows and the transposed CSR of its valid slots. The backward pass
+scatters through that CSR, each face's terms in ascending source order
+as ``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
+added their +-0.0 onto face 0, which changed no finite result: a gradient
+row starts as a matrix product, never -0.0, and x + +-0.0 = x for every
+other x. (A non-finite padded row no longer leaks onto face 0.)
 """
 
 from __future__ import annotations
@@ -15,22 +24,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NONE, AdjacencyMatrix
+from .core import CSR, NONE, AdjacencyMatrix
 
 
-@dataclass
+@dataclass(eq=False)
 class RegionTable:
     """Per-face convolution support.
 
     ``members[f]`` holds up to ``kernel_size`` surrounding face ids in BFS
     discovery order, padded with -1; ``counts[f]`` is the actual number.
     A row is shorter than K only when the face's connected component has
-    fewer than K+1 faces.
+    fewer than K+1 faces. Derived on construction: ``idx`` (members
+    ascending, padding last as face 0), its mask ``valid``, the ``padded``
+    row ids, and ``scatter``, whose row g lists the positions ``f*K + k``
+    of ``idx`` holding face g.
     """
 
     kernel_size: int
     members: np.ndarray  # (F, K) int64, -1 padding
     counts: np.ndarray   # (F,) int64
+
+    def __post_init__(self):
+        big = self.num_faces + 1
+        m = np.sort(np.where(self.members < 0, big, self.members), axis=1)
+        self.valid = m < big
+        self.idx = np.where(self.valid, m, 0)
+        self.padded = np.flatnonzero(~self.valid.all(axis=1))
+        pos = np.flatnonzero(self.valid)
+        self.scatter = CSR.from_pairs(self.idx.ravel()[pos], pos, self.num_faces)
 
     @property
     def num_faces(self) -> int:
@@ -45,37 +66,26 @@ def build_regions(adj: AdjacencyMatrix, kernel_size: int) -> RegionTable:
 
     The frontier starts at the face's adjacency slots (in sorted-slot
     order) and expands each frontier face's slots in turn, skipping NONE
-    and already-included faces. Deterministic, and invariant under rigid
-    transforms because the slot order is.
+    and already-included faces. All faces grow in lockstep: column 0 of
+    M is the face itself, and step (h, s) appends ``nb[M[f, h], s]`` to
+    each row f with a face at h and room left. Deterministic, and
+    invariant under rigid transforms because the slot order is.
     """
     if kernel_size < 3:
         raise ValueError("kernel_size must be >= 3")
-    F = adj.num_faces
-    nb = adj.neighbors
-    members = np.full((F, kernel_size), -1, dtype=np.int64)
-    counts = np.zeros(F, dtype=np.int64)
-    for f in range(F):
-        seen = {f}
-        out: list[int] = []
+    F, nb = adj.num_faces, adj.neighbors
+    M = np.full((F, kernel_size + 1), NONE, dtype=np.int64)
+    M[:, 0] = np.arange(F)
+    n = np.ones(F, dtype=np.int64)
+    for h in range(kernel_size):
         for s in range(3):
-            g = int(nb[f, s])
-            if g != NONE and g not in seen and len(out) < kernel_size:
-                seen.add(g)
-                out.append(g)
-        head = 0
-        while head < len(out) and len(out) < kernel_size:
-            g = out[head]
-            head += 1
-            for s in range(3):
-                h = int(nb[g, s])
-                if h != NONE and h not in seen:
-                    seen.add(h)
-                    out.append(h)
-                    if len(out) >= kernel_size:
-                        break
-        members[f, : len(out)] = out
-        counts[f] = len(out)
-    return RegionTable(kernel_size, members, counts)
+            rows = np.flatnonzero((h < n) & (n <= kernel_size))
+            cand = nb[M[rows, h], s]
+            new = (cand != NONE) & ~(M[rows] == cand[:, None]).any(axis=1)
+            rows = rows[new]
+            M[rows, n[rows]] = cand[new]
+            n[rows] += 1
+    return RegionTable(kernel_size, M[:, 1:].copy(), n - 1)
 
 
 @dataclass
@@ -119,25 +129,6 @@ def init_conv_params(c_in: int, c_out: int, rng: np.random.Generator) -> ConvPar
     )
 
 
-def _canonical_members(regions: RegionTable) -> tuple[np.ndarray, np.ndarray]:
-    """Region members sorted ascending per row (canonical accumulation
-    order), with a boolean validity mask. Padding sorts last."""
-    big = regions.num_faces + 1
-    m = np.where(regions.members < 0, big, regions.members)
-    m = np.sort(m, axis=1)
-    valid = m < big
-    return np.where(valid, m, 0), valid
-
-
-def _gather_sums(features: np.ndarray, regions: RegionTable):
-    idx, valid = _canonical_members(regions)
-    gathered = features[idx] * valid[:, :, None]          # (F, K, C)
-    s1 = gathered.sum(axis=1)
-    diff = np.where(valid[:, :, None], features[:, None, :] - gathered, 0.0)
-    s2 = np.abs(diff).sum(axis=1)
-    return idx, valid, diff, s1, s2
-
-
 def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
                  activation: bool = True, normalize: bool = False,
                  return_cache: bool = False):
@@ -146,15 +137,21 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
         raise ValueError("features row count does not match region table")
     if features.shape[1] != params.in_channels:
         raise ValueError("feature channels do not match conv params")
-    idx, valid, diff, s1, s2 = _gather_sums(features, regions)
+    pad, valid = regions.padded, regions.valid
+    diff = features[regions.idx]                           # (F, K, C)
+    diff[pad] *= valid[pad, :, None]
+    s1 = diff.sum(axis=1)
+    np.subtract(features[:, None, :], diff, out=diff)
+    diff[pad] = np.where(valid[pad, :, None], diff[pad], 0.0)
+    s2 = np.abs(diff).sum(axis=1)
     if normalize:
         denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
         s1, s2 = s1 / denom, s2 / denom
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
     if return_cache:
-        return out, {"idx": idx, "valid": valid, "diff": diff, "s1": s1,
-                     "s2": s2, "z": z, "normalize": normalize}
+        return out, {"valid": valid, "diff": diff, "s1": s1, "s2": s2, "z": z,
+                     "normalize": normalize}
     return out
 
 
@@ -170,15 +167,8 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     if cache is None:
         _, cache = conv_forward(features, regions, params, activation=activation,
                                 normalize=normalize, return_cache=True)
-    idx, valid, diff = cache["idx"], cache["valid"], cache["diff"]
-    s1, s2, z = cache["s1"], cache["s2"], cache["z"]
+    diff, s1, s2, z = cache["diff"], cache["s1"], cache["s2"], cache["z"]
     gz = grad_out * (z > 0) if activation else grad_out
-
-    grad_w0 = gz.T @ features
-    grad_w1 = gz.T @ s1
-    grad_w2 = gz.T @ s2
-    grad_bias = gz.sum(axis=0)
-
     h1 = gz @ params.w1   # (F, C_in) pull-back of the neighbor sum
     h2 = gz @ params.w2   # pull-back of the abs-diff sum
     if normalize:
@@ -187,6 +177,10 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     sign = np.sign(diff)                                   # (F, K, C_in)
     grad_features = gz @ params.w0
     grad_features += h2 * sign.sum(axis=1)
-    scatter = (h1[:, None, :] - h2[:, None, :] * sign) * valid[:, :, None]
-    np.add.at(grad_features, idx.ravel(), scatter.reshape(-1, features.shape[1]))
-    return grad_features, ConvParams(grad_w0, grad_w1, grad_w2, grad_bias)
+    # per slot h1 - h2 * sign, scattered onto its member (padding skipped)
+    scatter = np.multiply(h2[:, None, :], sign, out=sign)
+    np.subtract(h1[:, None, :], scatter, out=scatter)
+    regions.scatter.segment_sum(scatter.reshape(-1, features.shape[1]),
+                                out=grad_features)
+    return grad_features, ConvParams(gz.T @ features, gz.T @ s1, gz.T @ s2,
+                                     gz.sum(axis=0))

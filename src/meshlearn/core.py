@@ -92,6 +92,44 @@ class GeometryCache:
     vertex_normals: np.ndarray  # (V, 3) unit
 
 
+@dataclass(eq=False)
+class CSR:
+    """Compressed rows: row j is ``indices[indptr[j]:indptr[j + 1]]``, and
+    indexing and iteration give the rows. Pooling provenance and the conv
+    scatter are CSRs."""
+
+    indptr: np.ndarray    # (rows + 1,) int64 row offsets
+    indices: np.ndarray   # (indptr[-1],) int64 column ids
+
+    @classmethod
+    def from_pairs(cls, rows: np.ndarray, cols: np.ndarray, num_rows: int):
+        """CSR of the (row, col) pairs, each row's cols ascending."""
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+        return cls(indptr, cols[np.lexsort((cols, rows))])
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.indices[self.indptr[j]:self.indptr[j + 1]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def segment_sum(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Row j: ``values[self[j]]`` added onto ``out[j]`` (in place; zeros
+        if None) strictly left to right, the order of a scalar loop or of
+        ``np.add.at`` (``np.add.reduceat`` may reassociate)."""
+        counts = np.diff(self.indptr)
+        if out is None:
+            out = np.zeros((len(self),) + values.shape[1:])
+        for k in range(int(counts.max(initial=0))):
+            live = np.flatnonzero(counts > k)
+            out[live] += values[self.indices[self.indptr[live] + k]]
+        return out
+
+
 @dataclass
 class ValidationReport:
     manifold: bool

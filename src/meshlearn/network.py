@@ -49,6 +49,11 @@ class ModelConfig:
         if self.head not in ("linear", "channel_gap"):
             raise ValueError(f"unknown head {self.head!r} "
                              "(expected 'linear' or 'channel_gap')")
+        if self.abs_mode not in ("componentwise", "norm"):
+            raise ValueError(f"unknown abs_mode {self.abs_mode!r} "
+                             "(expected 'componentwise' or 'norm')")
+        if min(self.region_sizes) < 3:
+            raise ValueError(f"region_sizes {self.region_sizes} has an entry below 3")
 
     @property
     def num_blocks(self) -> int:
@@ -261,19 +266,12 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
                 bt.conv_inputs[l], bt.regions, params.conv_layers[layer_idx],
                 grad_feats, activation=config.layer_activation(b, l),
                 normalize=config.normalize_regions, cache=bt.conv_caches[l])
-            add_params_conv(grads.conv_layers[layer_idx], gp)
+            grads.conv_layers[layer_idx] = gp
     dgrad = desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
                                      params.descriptor, grad_feats)
     grads.descriptor.geo += dgrad.geo
     grads.descriptor.geom += dgrad.geom
     return grads
-
-
-def add_params_conv(acc: convmod.ConvParams, g: convmod.ConvParams) -> None:
-    acc.w0 += g.w0
-    acc.w1 += g.w1
-    acc.w2 += g.w2
-    acc.bias += g.bias
 
 
 # ---------------------------------------------------------------------------

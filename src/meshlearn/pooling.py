@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NONE, AdjacencyMatrix, Mesh, MeshError, build_adjacency
+from .core import CSR, NONE, AdjacencyMatrix, Mesh, MeshError, build_adjacency
 
 
 @dataclass
@@ -47,40 +47,9 @@ class PoolRegion:
     merged_vertex: np.ndarray  # collapse point (center face centroid)
 
 
-@dataclass(eq=False)
-class Provenance:
-    """Feature-averaging provenance of one pass in CSR form: new face j is
-    the mean of old faces ``indices[indptr[j]:indptr[j + 1]]``, ascending.
-    Indexing and iteration give those rows."""
-
-    indptr: np.ndarray    # (new faces + 1,) int64 row offsets
-    indices: np.ndarray   # (indptr[-1],) int64 old face ids
-
-    @classmethod
-    def from_pairs(cls, rows: np.ndarray, cols: np.ndarray, num_rows: int) -> Provenance:
-        """CSR of the (row, col) pairs, each row's cols ascending."""
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-        return cls(indptr, cols[np.lexsort((cols, rows))])
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.indices[self.indptr[j]:self.indptr[j + 1]]
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Row j: ``values[self[j]]`` added onto zeros strictly left to right,
-        the order of a scalar loop (``np.add.reduceat`` may reassociate)."""
-        counts = np.diff(self.indptr)
-        out = np.zeros((len(self),) + values.shape[1:])
-        for k in range(int(counts.max(initial=0))):
-            live = np.flatnonzero(counts > k)
-            out[live] += values[self.indices[self.indptr[live] + k]]
-        return out
+class Provenance(CSR):
+    """Feature-averaging provenance of one pass: new face j is the mean of
+    old faces ``self[j]``, ascending."""
 
     def mean(self, x: np.ndarray) -> np.ndarray:
         """Pooled features: per new face, the mean of its rows of ``x``."""
@@ -91,7 +60,7 @@ class Provenance:
         rows j holding it, in ascending j (the transposed CSR's order)."""
         counts = np.diff(self.indptr)
         rows = np.repeat(np.arange(len(self)), counts)
-        return Provenance.from_pairs(self.indices, rows, num_old).segment_sum(
+        return CSR.from_pairs(self.indices, rows, num_old).segment_sum(
             grad / counts[:, None])
 
 

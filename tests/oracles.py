@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations.
 
 These deliberately avoid the library's data paths: adjacency is found by
-O(F^2) pairwise edge matching, regions by a standalone BFS, weights by a
+O(F^2) pairwise edge matching, regions by a standalone BFS, convolution
+by a dense (F, K, C) gather and an ``np.add.at`` scatter, weights by a
 plain per-face Python loop, and pooling plans by a naive greedy that
 re-validates every candidate against a from-scratch reconstruction of
 the whole post-collapse mesh. The library must bit-match all of them.
@@ -79,6 +80,69 @@ def oracle_regions(neighbors: np.ndarray, kernel_size: int):
             i += 1
         rows.append(queue)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# convolution: the full (F, K, C) gather and np.add.at scatter
+
+
+def _oracle_canonical_members(regions):
+    """Region members sorted ascending per row (canonical accumulation
+    order), with a boolean validity mask. Padding sorts last."""
+    big = regions.num_faces + 1
+    m = np.where(regions.members < 0, big, regions.members)
+    m = np.sort(m, axis=1)
+    valid = m < big
+    return np.where(valid, m, 0), valid
+
+
+def _oracle_gather_sums(features, regions):
+    idx, valid = _oracle_canonical_members(regions)
+    gathered = features[idx] * valid[:, :, None]          # (F, K, C)
+    s1 = gathered.sum(axis=1)
+    diff = np.where(valid[:, :, None], features[:, None, :] - gathered, 0.0)
+    s2 = np.abs(diff).sum(axis=1)
+    return idx, valid, diff, s1, s2
+
+
+def oracle_conv_forward(features, regions, params, activation=True,
+                        normalize=False):
+    """Returns (out, cache) of the three-term convolution."""
+    idx, valid, diff, s1, s2 = _oracle_gather_sums(features, regions)
+    if normalize:
+        denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
+        s1, s2 = s1 / denom, s2 / denom
+    z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
+    out = np.maximum(z, 0.0) if activation else z
+    return out, {"idx": idx, "valid": valid, "diff": diff, "s1": s1,
+                 "s2": s2, "z": z}
+
+
+def oracle_conv_backward(features, regions, params, grad_out, activation=True,
+                         normalize=False):
+    """Returns (grad_features, (grad_w0, grad_w1, grad_w2, grad_bias))."""
+    _, cache = oracle_conv_forward(features, regions, params,
+                                   activation=activation, normalize=normalize)
+    idx, valid, diff = cache["idx"], cache["valid"], cache["diff"]
+    s1, s2, z = cache["s1"], cache["s2"], cache["z"]
+    gz = grad_out * (z > 0) if activation else grad_out
+
+    grad_w0 = gz.T @ features
+    grad_w1 = gz.T @ s1
+    grad_w2 = gz.T @ s2
+    grad_bias = gz.sum(axis=0)
+
+    h1 = gz @ params.w1
+    h2 = gz @ params.w2
+    if normalize:
+        denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
+        h1, h2 = h1 / denom, h2 / denom
+    sign = np.sign(diff)
+    grad_features = gz @ params.w0
+    grad_features += h2 * sign.sum(axis=1)
+    scatter = (h1[:, None, :] - h2[:, None, :] * sign) * valid[:, :, None]
+    np.add.at(grad_features, idx.ravel(), scatter.reshape(-1, features.shape[1]))
+    return grad_features, (grad_w0, grad_w1, grad_w2, grad_bias)
 
 
 # ---------------------------------------------------------------------------

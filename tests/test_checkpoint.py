@@ -87,6 +87,8 @@ DEFECTS = {
     "missing_conv_layers": "names, shapes",
     "non_utf8_name": "names, shapes",
     "unknown_head": "unknown head 'foo'",
+    "unknown_abs_mode": "unknown abs_mode 'foo'",
+    "region_size_below_3": r"region_sizes \S.* has an entry below 3",
 }
 
 
@@ -112,6 +114,10 @@ def write_malformed(path, defect):
         rest += bytes(8)
     elif defect == "unknown_head":
         cfg["head"] = "foo"
+    elif defect == "unknown_abs_mode":
+        cfg["abs_mode"] = "foo"
+    elif defect == "region_size_below_3":
+        cfg["region_sizes"][0] = 2
     elif defect == "non_utf8_name":
         rest[6] = 0xFF             # the first byte of the first array's name
     blob = json.dumps(cfg, sort_keys=True).encode()

@@ -193,12 +193,20 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("block_channels = a b c", "block_channels = 'a b c' is not a tuple"),
     ("use_activation = banana", "use_activation = 'banana' is not a bool"),
     ("head = foo", "unknown head 'foo'"),
-], ids=["int_tuple", "bool_word", "head"])
-def test_train_malformed_config_value_exit_2(tmp_path, capsys, line, message):
+    ("abs_mode = foo", "unknown abs_mode 'foo'"),
+    ("region_sizes = 2 6 9", "region_sizes (2, 6, 9) has an entry below 3"),
+], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size"])
+def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
+                                             line, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the config was checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_data)
     cfg = _write_config(tmp_path, line + "\n")
     out = str(tmp_path / "run")
     assert run(["train", "--synthetic", "--config", cfg, "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_train_synthetic_writes_artifacts(tmp_path, capsys):

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshlearn.conv import (ConvParams, RegionTable, build_regions,
                             conv_backward, conv_forward, init_conv_params)
-from meshlearn.core import build_adjacency
-from meshlearn.data import icosahedron, icosphere, torus
+from meshlearn.core import Mesh, build_adjacency
+from meshlearn.data import box, icosahedron, icosphere, torus
 
-from conftest import closed_corpus, jitter_mesh, rigid_transform, tetrahedron
-from oracles import oracle_regions
+from conftest import (closed_corpus, disjoint_union, flip_edges, jitter_mesh,
+                      rigid_transform, tetrahedron)
+from oracles import (_components, oracle_conv_backward, oracle_conv_forward,
+                     oracle_regions)
 
 
 def test_build_regions_kernel_too_small():
@@ -54,6 +58,49 @@ def test_regions_match_oracle_corpus():
             expect = oracle_regions(adj.neighbors, K)
             for f in range(mesh.num_faces):
                 assert regions.row(f) == expect[f]
+
+
+def triangle_strip(n: int) -> Mesh:
+    """2n faces in a row: inner faces have two edge-neighbours, so a region
+    grows by one face per BFS head and needs every head up to K-1."""
+    v = [[i, 0.0, 0.0] for i in range(n + 1)] + [[i + 0.5, 1.0, 0.0]
+                                                for i in range(n + 1)]
+    f = [t for i in range(n) for t in ((i, i + 1, n + 1 + i),
+                                      (i + 1, n + 2 + i, n + 1 + i))]
+    return Mesh(np.array(v), np.array(f))
+
+
+REGION_BASES = [icosahedron(), icosphere(1), box(2), torus(6, 4), torus(8, 4),
+                triangle_strip(12)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_regions_match_oracle_property(data):
+    """Bordered, edge-flipped and two-component meshes, at K from 3 to 12
+    and at one K above the smallest component's face count."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mesh = jitter_mesh(data.draw(st.sampled_from(REGION_BASES)), rng)
+    kind = data.draw(st.sampled_from(["bordered", "flipped", "two_component"]))
+    if kind == "bordered":
+        drop = data.draw(st.lists(st.integers(0, mesh.num_faces - 1),
+                                  min_size=1, max_size=3, unique=True))
+        mesh = Mesh(mesh.vertices, np.delete(mesh.faces, drop, axis=0))
+    elif kind == "flipped":
+        mesh = flip_edges(mesh, rng, mesh.num_faces // 4)
+    else:
+        small = data.draw(st.sampled_from([tetrahedron(), box(1), icosahedron()]))
+        mesh = disjoint_union(mesh, small)
+    adj = build_adjacency(mesh)
+    smallest = min(_components(mesh.faces.tolist())[1].values())
+    padded_k = max(3, smallest + data.draw(st.integers(0, 3)))
+    for K in (data.draw(st.integers(3, 12)), padded_k):
+        regions = build_regions(adj, K)
+        expect = oracle_regions(adj.neighbors, K)
+        assert [regions.row(f) for f in range(mesh.num_faces)] == expect
+        assert (regions.members[regions.members < 0] == -1).all()
+        assert regions.counts.tolist() == [len(r) for r in expect]
+    assert (regions.counts < padded_k).any()
 
 
 def test_regions_rigid_invariance(rng):
@@ -215,3 +262,61 @@ def test_backward_grad_shape_mismatch(rng):
     with pytest.raises(ValueError, match="grad_out"):
         conv_backward(rng.normal(size=(4, 3)), regions, params,
                       np.zeros((4, 3)))
+
+
+# ---------------------------------------------------------------------------
+# differential check against the dense-gather / np.add.at oracle
+
+
+def _oracle_cases():
+    """Closed corpus meshes, and padded tables: components with fewer than
+    K+1 faces."""
+    for mesh in closed_corpus(seeds=range(6)):
+        yield mesh, 6
+    for mesh in (tetrahedron(), icosahedron()):
+        for K in (6, 9):
+            yield mesh, K
+    yield disjoint_union(icosphere(1), tetrahedron()), 9
+    yield disjoint_union(tetrahedron(), icosahedron()), 6
+
+
+def _signed_zeros(x, rng):
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("activation", [False, True])
+def test_conv_matches_oracle_bytes(normalize, activation):
+    rng = np.random.default_rng(11)
+    for mesh, K in _oracle_cases():
+        adj = build_adjacency(mesh)
+        regions = build_regions(adj, K)
+        F = mesh.num_faces
+        feats = _signed_zeros(rng.normal(size=(F, 5)), rng)
+        params = init_conv_params(5, 4, rng)
+        # the second gradient is -0.0 on face 0's component, which makes
+        # face 0's input gradient exactly zero: the one value whose sign
+        # the oracle's +-0.0 padding terms could change
+        first = set(oracle_regions(adj.neighbors, F)[0]) | {0}
+        quiet = _signed_zeros(rng.normal(size=(F, 4)), rng)
+        quiet[sorted(first)] = -0.0
+        for grad_out in (_signed_zeros(rng.normal(size=(F, 4)), rng), quiet):
+            out, cache = conv_forward(feats, regions, params, activation=activation,
+                                      normalize=normalize, return_cache=True)
+            ref_out, ref_cache = oracle_conv_forward(
+                feats, regions, params, activation=activation, normalize=normalize)
+            gf, gp = conv_backward(feats, regions, params, grad_out,
+                                   activation=activation, normalize=normalize,
+                                   cache=cache)
+            ref_gf, ref_gp = oracle_conv_backward(
+                feats, regions, params, grad_out, activation=activation,
+                normalize=normalize)
+            assert out.tobytes() == ref_out.tobytes()
+            assert cache["diff"].tobytes() == ref_cache["diff"].tobytes()
+            assert cache["z"].tobytes() == ref_cache["z"].tobytes()
+            assert gf.tobytes() == ref_gf.tobytes()
+            assert grad_out is not quiet or not gf[0].any()
+            for got, ref in zip((gp.w0, gp.w1, gp.w2, gp.bias), ref_gp):
+                assert got.tobytes() == ref.tobytes()
