@@ -9,8 +9,8 @@ the ``NONE`` sentinel (-1), never as face index 0.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -149,20 +149,61 @@ class ValidationReport:
 # file I/O
 
 
-def _tokenize(source) -> list[tuple[int, str]]:
+def _text(source) -> str:
     if isinstance(source, bytes):
-        text = source.decode("utf-8", errors="replace")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-    return [(i + 1, line) for i, line in enumerate(text.splitlines())]
+        return source.decode("utf-8", errors="replace")
+    if isinstance(source, str):
+        return source
+    data = source.read()
+    return data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+
+
+def _tokenize(source) -> list[tuple[int, str]]:
+    return [(i + 1, line) for i, line in enumerate(_text(source).splitlines())]
+
+
+def _parse_plain_off(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The vertex and face arrays of a plain OFF text, or None if it is not
+    plain. Plain means: no ``#``, a lone ``OFF`` line, a counts line of three
+    tokens, then exactly V lines of 3 tokens and F lines of 4, blank lines
+    aside, every token parsing, every face of arity 3 with indices in range.
+    On such a text the per-line parser reads the same tokens through the
+    same ``str.split``, ``float`` and ``int``, so it returns these arrays."""
+    if "#" in text:
+        return None
+    rows = [r for r in map(str.split, text.splitlines()) if r]
+    if len(rows) < 2 or rows[0] != ["OFF"] or len(rows[1]) != 3:
+        return None
+    try:
+        nv, nf = int(rows[1][0]), int(rows[1][1])
+        if nv < 0 or nf < 0 or len(rows) != 2 + nv + nf:
+            return None
+        vrows, frows = rows[2:2 + nv], rows[2 + nv:]
+        if set(map(len, vrows)) - {3} or set(map(len, frows)) - {4}:
+            return None
+        verts = np.array(list(map(float, chain.from_iterable(vrows)))).reshape(nv, 3)
+        faces = np.array(list(map(int, chain.from_iterable(frows))),
+                         dtype=np.int64).reshape(nf, 4)
+    except (ValueError, OverflowError):
+        return None
+    if nf and ((faces[:, 0] != 3).any() or faces[:, 1:].min() < 0
+               or faces[:, 1:].max() >= nv):
+        return None
+    return verts, faces[:, 1:]
 
 
 def load_off(source) -> Mesh:
-    """Parse an ASCII OFF file with triangle faces only."""
-    lines = [(n, ln.split("#", 1)[0].strip()) for n, ln in _tokenize(source)]
+    """Parse an ASCII OFF file with triangle faces only.
+
+    A plain file (see ``_parse_plain_off``) is read in one pass over its
+    tokens. Anything else, every malformed file included, goes through the
+    per-line parser, whose errors name the line.
+    """
+    text = _text(source)
+    plain = _parse_plain_off(text)
+    if plain is not None:
+        return Mesh(*plain)
+    lines = [(n, ln.split("#", 1)[0].strip()) for n, ln in _tokenize(text)]
     lines = [(n, ln) for n, ln in lines if ln]
     if not lines:
         raise MeshError("empty OFF file")
@@ -184,6 +225,8 @@ def load_off(source) -> Mesh:
         nv, nf = int(parts[0]), int(parts[1])
     except ValueError:
         raise MeshError(f"line {n1}: malformed counts line {counts!r}") from None
+    if nv < 0 or nf < 0:
+        raise MeshError(f"line {n1}: malformed counts line {counts!r}")
     body = rest[1:]
     if len(body) < nv + nf:
         raise MeshError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
@@ -209,7 +252,10 @@ def load_off(source) -> Mesh:
             raise MeshError(f"non-triangle face at line {n}")
         if len(p) < 4:
             raise MeshError(f"line {n}: malformed face line")
-        faces[i] = [int(p[1]), int(p[2]), int(p[3])]
+        try:
+            faces[i] = [int(p[1]), int(p[2]), int(p[3])]
+        except (ValueError, OverflowError):
+            raise MeshError(f"line {n}: malformed face line") from None
     if nf and faces.size and (faces.min() < 0 or faces.max() >= nv):
         bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= nv).any(axis=1)))
         raise MeshError(f"face {bad}: vertex index out of range")
@@ -290,17 +336,15 @@ def load_mesh(source, fmt: str | None = None) -> Mesh:
 
 def save_off(mesh: Mesh, target) -> None:
     """Write ``mesh`` as ASCII OFF to a path or text stream."""
-    buf = io.StringIO()
-    buf.write("OFF\n%d %d 0\n" % (mesh.num_vertices, mesh.num_faces))
-    for v in mesh.vertices:
-        buf.write("%.17g %.17g %.17g\n" % (v[0], v[1], v[2]))
-    for f in mesh.faces:
-        buf.write("3 %d %d %d\n" % (f[0], f[1], f[2]))
+    nv, nf = mesh.num_vertices, mesh.num_faces
+    text = ("OFF\n%d %d 0\n" % (nv, nf)
+            + ("%.17g %.17g %.17g\n" * nv) % tuple(mesh.vertices.ravel().tolist())
+            + ("3 %d %d %d\n" * nf) % tuple(mesh.faces.ravel().tolist()))
     if isinstance(target, str):
         with open(target, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     else:
-        target.write(buf.getvalue())
+        target.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,13 +56,20 @@ class Provenance(CSR):
         """Pooled features: per new face, the mean of its rows of ``x``."""
         return self.segment_sum(x) / np.diff(self.indptr)[:, None]
 
+    @cached_property
+    def transposed(self) -> CSR:
+        """Row i: the new faces holding old face i, ascending, for every old
+        face up to the highest one held."""
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        return CSR.from_pairs(self.indices, rows, int(self.indices.max(initial=-1)) + 1)
+
     def mean_adjoint(self, grad: np.ndarray, num_old: int) -> np.ndarray:
         """Adjoint of ``mean``: old face i sums grad[j] / len(row j) over the
         rows j holding it, in ascending j (the transposed CSR's order)."""
-        counts = np.diff(self.indptr)
-        rows = np.repeat(np.arange(len(self)), counts)
-        return CSR.from_pairs(self.indices, rows, num_old).segment_sum(
-            grad / counts[:, None])
+        t = self.transposed
+        out = np.zeros((num_old,) + grad.shape[1:])
+        t.segment_sum(grad / np.diff(self.indptr)[:, None], out=out[:len(t)])
+        return out
 
 
 @dataclass
@@ -125,19 +133,30 @@ def compute_face_weights(features: np.ndarray, adj: AdjacencyMatrix) -> np.ndarr
 def _face_components(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Connected component label and size per face (edge-adjacency).
 
-    Min-label propagation with pointer jumping: every face converges to
-    the lowest face id of its component, so components are numbered in
-    order of their lowest face.
+    Hook and compress: each neighbor pair whose labels differ hooks the
+    higher label's root onto the lower label, then pointer jumping
+    flattens every chain, until no pair differs. Labels only fall and
+    stay within the component, so every face ends on the lowest face id
+    of its component and components are numbered in order of their
+    lowest face. The rounds grow with the log of the diameter, not with
+    the diameter as plain min-label propagation does.
     """
     ids = np.arange(adj.num_faces)
-    nb = np.where(adj.neighbors == NONE, ids[:, None], adj.neighbors)
+    nb = adj.neighbors
+    u, s = np.nonzero(nb > ids[:, None])     # each pair once; NONE is -1
+    v = nb[u, s]
     label = ids
     while True:
-        new = np.minimum(label, label[nb].min(axis=1))
-        new = new[new]
-        if np.array_equal(new, label):
+        lu, lv = label[u], label[v]
+        differ = lu != lv
+        if not differ.any():
             break
-        label = new
+        np.minimum.at(label, np.maximum(lu, lv)[differ], np.minimum(lu, lv)[differ])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
     _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
     return comp, sizes
 
@@ -176,6 +195,15 @@ class _PassState:
     exactly when the outgoing ends are distinct, the incoming ends are
     distinct, and the two sets are equal.
 
+    ``settled`` marks the faces that can never collapse in this pass: from
+    the start those with a border slot or a repeated neighbor, and from
+    each commit on every neighbor of a removed face and every face at a
+    merged vertex (faces only die and vertices are only merged). A face
+    the simulation rejects only for now is deferred on the watch list of
+    every vertex of its one-ring faces; a commit wakes the faces watching
+    the vertices of the faces it touched, which are exactly the deferred
+    faces within two vertex hops of them.
+
     Everything is held in flat Python lists, which index far faster one
     element at a time than NumPy rows: ``faces`` and ``neighbors`` are the
     input tables as lists, ``post`` the current triple per face.
@@ -183,43 +211,34 @@ class _PassState:
 
     def __init__(self, mesh: Mesh, adj: AdjacencyMatrix):
         F, V = mesh.num_faces, mesh.num_vertices
+        nb = adj.neighbors
         self.faces = mesh.faces.tolist()
-        self.neighbors = adj.neighbors.tolist()
+        self.neighbors = nb.tolist()
         self.v2f = _vertex_to_faces(mesh)
         comp, comp_sizes = _face_components(adj)
         self.comp = comp.tolist()
         self.comp_left = comp_sizes.tolist()
         self.alive = [True] * F
+        self.settled = ((nb == NONE).any(axis=1) | (nb[:, 0] == nb[:, 1])
+                        | (nb[:, 1] == nb[:, 2]) | (nb[:, 2] == nb[:, 0])).tolist()
+        self.watch: dict[int, list[int]] = {}   # vertex -> deferred faces
         self.post = list(self.faces)
-        self.claimed = [False] * V       # old vertex merged by a region
         self.next_token = V
         self.vcount = np.bincount(mesh.faces.ravel(), minlength=V + F).tolist()
 
     def try_candidate(self, f: int):
-        """Return the collapse of f as (removed, ring, new_tris,
-        center_verts) if it is compatible with everything accepted so far.
-        Otherwise return BLOCKED if no later commit can make it
-        compatible, or None if the simulation rejects it for now."""
-        row = self.neighbors[f]
-        if NONE in row:
-            return BLOCKED
-        nbs = set(row)
-        if len(nbs) != 3:
-            return BLOCKED
+        """Return the collapse of the alive, unsettled face f as (removed,
+        ring, new_tris, center_verts) if it is compatible with everything
+        accepted so far. Otherwise return BLOCKED if no later commit can
+        make it compatible, or None if the simulation rejects it for now."""
+        nbs = set(self.neighbors[f])
         nbs.add(f)
-        # faces only die, components only shrink and vertices are only
-        # claimed, so each of these rejections is final
-        alive = self.alive
-        if not all(alive[h] for h in nbs):
-            return BLOCKED
+        # components only shrink, so this rejection is final
         if self.comp_left[self.comp[f]] - 4 < 4:
             return BLOCKED
         cvs = set(self.faces[f])
-        claimed = self.claimed
-        if any(claimed[v] for v in cvs):
-            return BLOCKED  # center vertex already claimed by another merge
         removed = sorted(nbs)
-        v2f = self.v2f
+        alive, v2f = self.alive, self.v2f
         ring = sorted({h for v in cvs for h in v2f[v] if alive[h]} - nbs)
         token, post = self.next_token, self.post
 
@@ -253,14 +272,26 @@ class _PassState:
                 return None
         return removed, ring, new_tris, sorted(cvs)
 
-    def commit(self, f: int, candidate) -> None:
-        """Apply an accepted ``try_candidate`` result to the simulation."""
+    def defer(self, f: int) -> None:
+        """Watch a face the simulation rejected for now: put it on the list
+        of every vertex of its one-ring faces in the input mesh."""
+        faces, v2f, watch = self.faces, self.v2f, self.watch
+        for v in {v for u in faces[f] for z in v2f[u] for v in faces[z]}:
+            watch.setdefault(v, []).append(f)
+
+    def commit(self, f: int, candidate) -> list[int]:
+        """Apply an accepted ``try_candidate`` result to the simulation and
+        return the deferred faces it wakes (possibly repeated, dead,
+        settled or already woken: callers filter)."""
         removed, ring, new_tris, cvs = candidate
         post, vcount = self.post, self.vcount
+        alive, settled, neighbors = self.alive, self.settled, self.neighbors
         for h in removed:
             for v in post[h]:
                 vcount[v] -= 1
-            self.alive[h] = False
+            alive[h] = False
+            for w in neighbors[h]:
+                settled[w] = True
         for h in ring:
             for v in post[h]:
                 vcount[v] -= 1
@@ -268,17 +299,13 @@ class _PassState:
             for v in post[h]:
                 vcount[v] += 1
         for v in cvs:
-            self.claimed[v] = True
+            for w in self.v2f[v]:
+                settled[w] = True
         self.next_token += 1
         self.comp_left[self.comp[f]] -= 4
-
-    def near(self, touched) -> set[int]:
-        """Faces within two vertex hops (in the input mesh) of the faces
-        ``touched`` by a commit: the only candidates whose outcome the
-        commit can change."""
-        faces, v2f = self.faces, self.v2f
-        hop1 = {z for v in {v for y in touched for v in faces[y]} for z in v2f[v]}
-        return {w for v in {v for z in hop1 for v in faces[z]} for w in v2f[v]}
+        faces, watch = self.faces, self.watch
+        touched = {v for h in removed + ring for v in faces[h]}
+        return [w for v in touched if v in watch for w in watch.pop(v)]
 
 
 def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
@@ -293,12 +320,12 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     _PassState), so accepted collapses always compose into a valid
     simultaneous application.
 
-    The order is walked once, and rejections are cached. A face the
-    simulation rejected is tried again only after a later commit touches
-    its two-hop neighborhood (_PassState.near), which puts its position on
-    a retry heap; a BLOCKED face is never tried again. Every rejected face
-    lies before the walk pointer, so the smallest queued position, if any,
-    is the first eligible face, and otherwise the walk continues.
+    The order is walked once. A settled face is skipped and never tried
+    again; a face the simulation rejects for now is deferred, and a later
+    commit within its two-hop neighborhood wakes it and puts its position
+    on a retry heap. Every tried face lies before the walk pointer, so the
+    smallest queued position, if any, is the first eligible face, and
+    otherwise the walk continues.
     """
     if target < 4:
         raise ValueError("target face count must be >= 4")
@@ -307,15 +334,14 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     if projected <= target:
         return _finalize_plan(mesh, [])
     state = _PassState(mesh, adj)
-    alive = state.alive
+    alive, settled = state.alive, state.settled
     order = np.lexsort((np.arange(F), weights))
     position = np.empty(F, dtype=np.int64)
     position[order] = np.arange(F)
     order, position = order.tolist(), position.tolist()
     accepted: list[tuple] = []      # (center, removed, ring, center verts)
-    retry: list[int] = []           # heap of positions of requeued faces
+    retry: list[int] = []           # heap of positions of woken faces
     queued = [False] * F
-    settled = [False] * F           # blocked for the rest of the pass
     walk = 0                        # first position never tried
     while projected > target:
         if retry:
@@ -326,18 +352,20 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
             walk += 1
         else:
             break
-        if not alive[f]:
+        if settled[f] or not alive[f]:
             continue
         cand = state.try_candidate(f)
-        if not cand:
-            settled[f] = cand is BLOCKED
+        if cand is None:
+            state.defer(f)
+            continue
+        if cand is BLOCKED:
+            settled[f] = True
             continue
         removed, ring, _, cvs = cand
         accepted.append((f, removed, ring, cvs))
-        state.commit(f, cand)
         projected -= len(removed)
-        for w in state.near(removed + ring):
-            if alive[w] and not settled[w] and not queued[w] and position[w] < walk:
+        for w in state.commit(f, cand):
+            if alive[w] and not settled[w] and not queued[w]:
                 queued[w] = True
                 heapq.heappush(retry, position[w])
     centers = mesh.faces[[a[0] for a in accepted]]

@@ -3,16 +3,97 @@
 These deliberately avoid the library's data paths: adjacency is found by
 O(F^2) pairwise edge matching, regions by a standalone BFS, convolution
 by a dense (F, K, C) gather and an ``np.add.at`` scatter, weights by a
-plain per-face Python loop, and pooling plans by a naive greedy that
+plain per-face Python loop, pooling plans by a naive greedy that
 re-validates every candidate against a from-scratch reconstruction of
-the whole post-collapse mesh. The library must bit-match all of them.
+the whole post-collapse mesh, and OFF files by a per-line parser and a
+per-row writer. The library must bit-match all of them.
 """
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
-from meshlearn.core import NONE, Mesh
+from meshlearn.core import NONE, Mesh, MeshError
+
+# ---------------------------------------------------------------------------
+# OFF file I/O
+
+
+def oracle_load_off(text: str) -> Mesh:
+    """Per-line OFF parser: every non-empty line (``#`` comments cut) is
+    parsed on its own, and each error names its line."""
+    lines = [(i + 1, ln.split("#", 1)[0].strip())
+             for i, ln in enumerate(text.splitlines())]
+    lines = [(n, ln) for n, ln in lines if ln]
+    if not lines:
+        raise MeshError("empty OFF file")
+    n0, header = lines[0]
+    rest = lines[1:]
+    if header != "OFF":
+        # counts may share the header line ("OFF 8 12 0")
+        if header.startswith("OFF"):
+            rest = [(n0, header[3:].strip())] + rest
+        else:
+            raise MeshError(f"line {n0}: missing OFF header")
+    if not rest:
+        raise MeshError("missing OFF counts line")
+    n1, counts = rest[0]
+    parts = counts.split()
+    if len(parts) < 2:
+        raise MeshError(f"line {n1}: malformed counts line {counts!r}")
+    try:
+        nv, nf = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MeshError(f"line {n1}: malformed counts line {counts!r}") from None
+    if nv < 0 or nf < 0:
+        raise MeshError(f"line {n1}: malformed counts line {counts!r}")
+    body = rest[1:]
+    if len(body) < nv + nf:
+        raise MeshError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
+    verts = np.empty((nv, 3))
+    for i in range(nv):
+        n, ln = body[i]
+        p = ln.split()
+        if len(p) < 3:
+            raise MeshError(f"line {n}: malformed vertex line")
+        try:
+            verts[i] = [float(p[0]), float(p[1]), float(p[2])]
+        except ValueError:
+            raise MeshError(f"line {n}: malformed vertex line") from None
+    faces = np.empty((nf, 3), dtype=np.int64)
+    for i in range(nf):
+        n, ln = body[nv + i]
+        p = ln.split()
+        try:
+            k = int(p[0])
+        except (ValueError, IndexError):
+            raise MeshError(f"line {n}: malformed face line") from None
+        if k != 3:
+            raise MeshError(f"non-triangle face at line {n}")
+        if len(p) < 4:
+            raise MeshError(f"line {n}: malformed face line")
+        try:
+            faces[i] = [int(p[1]), int(p[2]), int(p[3])]
+        except (ValueError, OverflowError):
+            raise MeshError(f"line {n}: malformed face line") from None
+    if nf and faces.size and (faces.min() < 0 or faces.max() >= nv):
+        bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= nv).any(axis=1)))
+        raise MeshError(f"face {bad}: vertex index out of range")
+    return Mesh(verts, faces)
+
+
+def oracle_save_off(mesh: Mesh) -> str:
+    """OFF text written one vertex and one face at a time."""
+    buf = io.StringIO()
+    buf.write("OFF\n%d %d 0\n" % (mesh.num_vertices, mesh.num_faces))
+    for v in mesh.vertices:
+        buf.write("%.17g %.17g %.17g\n" % (v[0], v[1], v[2]))
+    for f in mesh.faces:
+        buf.write("3 %d %d %d\n" % (f[0], f[1], f[2]))
+    return buf.getvalue()
+
 
 # ---------------------------------------------------------------------------
 # adjacency

@@ -63,6 +63,21 @@ def test_info_non_finite_coordinate_exit_2(tmp_path, capsys):
     assert "manifold=" not in captured.out
 
 
+@pytest.mark.parametrize("body, message", [
+    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+     "line 6: malformed face line"),
+    ("-1 1 0\n0 0 0\n3 0 0 0\n", "line 2: malformed counts line '-1 1 0'"),
+])
+def test_info_malformed_off_exit_2(tmp_path, capsys, body, message):
+    path = str(tmp_path / "bad.off")
+    with open(path, "w") as fh:
+        fh.write("OFF\n" + body)
+    assert run(["info", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exit_2():
     assert run(["frobnicate"]) == 2
 

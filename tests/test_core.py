@@ -1,6 +1,7 @@
 """Mesh representation, I/O, validation, normalization, adjacency."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from meshlearn.core import (NONE, Mesh, MeshError, build_adjacency,
                             compute_geometry, degeneracy_threshold,
                             edge_lengths_sq, euler_characteristic, face_areas,
                             load_mesh, load_obj, load_off, normalize_mesh,
-                            save_off, validate_mesh)
-from meshlearn.data import box, icosahedron, icosphere, torus
+                            save_off, validate_mesh, _parse_plain_off)
+from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 
 from conftest import (closed_corpus, jitter_mesh, rigid_transform,
                       single_triangle, tetrahedron)
-from oracles import oracle_adjacency
+from oracles import oracle_adjacency, oracle_load_off, oracle_save_off
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +50,18 @@ def test_load_off_index_out_of_range():
 def test_load_off_truncated():
     with pytest.raises(MeshError, match="truncated"):
         load_off("OFF\n3 1 0\n0 0 0\n1 0 0\n")
+
+
+def test_load_off_overflowing_face_index():
+    text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n"
+    with pytest.raises(MeshError, match="line 6: malformed face line"):
+        load_off(text)
+
+
+@pytest.mark.parametrize("counts", ["-1 1 0", "3 -1 0"])
+def test_load_off_negative_counts(counts):
+    with pytest.raises(MeshError, match=f"line 2: malformed counts line '{counts}'"):
+        load_off(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -93,6 +106,101 @@ def test_save_off_round_trip_bit_exact(rng):
     back = load_off(buf.getvalue())
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.faces, mesh.faces)
+
+
+# save_off output of the data generators, jittered so that coordinates
+# need all 17 digits
+OFF_SOURCES = [jitter_mesh(m, np.random.default_rng(i)) for i, m in enumerate(
+    [tetrahedron(), single_triangle(), octahedron(), icosahedron(), box(1),
+     torus(5, 3)])]
+OFF_TEXTS = [oracle_save_off(m) for m in OFF_SOURCES]
+# replacements for one token, and for one run of whitespace between tokens
+ODD_TOKENS = ["#", "-1", "-0", "0", "3", "4", "2.5", "1e999", "nan", "-inf",
+              "99999999999999999999", "-99999999999999999999", "1_0", "x",
+              "OFF", "\u0663", "0x10", "\xe9"]
+ODD_SPACES = [" ", "  ", "\t", "\r\n", "\r", "\n\n", "\n \n", "\x0b", "\x0c",
+              "\x1c", "\x1f", "\xa0", "\x85", "\u2028", "\u3000", " 7 ", "\n7\n",
+              " # note\n", "#", ""]
+
+
+@st.composite
+def mutated_off(draw):
+    """A save_off text with up to four token or whitespace mutations."""
+    pieces = re.split(r"(\s+)", draw(st.sampled_from(OFF_TEXTS)))
+    # tokens sit at even positions, the whitespace between them at odd ones
+    for _ in range(draw(st.integers(0, 4))):
+        token = 2 * draw(st.integers(0, (len(pieces) - 1) // 2))
+        space = token + 1 if token + 1 < len(pieces) else token - 1
+        kind = draw(st.sampled_from(["token", "space", "swap", "insert", "cut"]))
+        if kind == "token":
+            pieces[token] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "space" and space > 0:
+            pieces[space] = draw(st.sampled_from(ODD_SPACES))
+        elif kind == "swap":
+            other = 2 * draw(st.integers(0, (len(pieces) - 1) // 2))
+            pieces[token], pieces[other] = pieces[other], pieces[token]
+        elif kind == "insert":
+            pieces[token + 1:token + 1] = [draw(st.sampled_from(ODD_SPACES[:-1])),
+                                           draw(st.sampled_from(ODD_TOKENS))]
+        elif kind == "cut":
+            del pieces[max(token, 1):]
+    return "".join(pieces)
+
+
+def _off_outcome(load, source):
+    """Arrays of a parse, or the type and message of its error."""
+    try:
+        mesh = load(source)
+    except Exception as e:   # compared below, whatever its type
+        return type(e), str(e)
+    return (mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.shape,
+            mesh.faces.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_off())
+def test_load_off_matches_per_line_oracle(text):
+    want = _off_outcome(oracle_load_off, text)
+    assert _off_outcome(load_off, text) == want
+    assert _off_outcome(load_off, text.encode("utf-8")) == want
+    if want[0] is MeshError:
+        return
+    assert isinstance(want[0], tuple)   # no error type but MeshError
+    mesh = oracle_load_off(text)
+    buf = io.StringIO()
+    save_off(mesh, buf)
+    assert buf.getvalue() == oracle_save_off(mesh)
+
+
+def test_load_off_every_single_mutation_matches_oracle():
+    # each token of the tetrahedron's file replaced by each odd token, and
+    # each run of whitespace by each odd space
+    pieces = re.split(r"(\s+)", OFF_TEXTS[0])
+    for i, piece in enumerate(pieces):
+        for odd in ODD_SPACES if i % 2 else ODD_TOKENS:
+            text = "".join(pieces[:i] + [odd] + pieces[i + 1:])
+            assert _off_outcome(load_off, text) == _off_outcome(oracle_load_off, text)
+
+
+def test_load_off_plain_texts_take_the_fast_path():
+    for text in OFF_TEXTS:
+        for variant in (text, text.replace("\n", "\r\n"),
+                        text.replace(" ", "\t") + "\n\n"):
+            assert _parse_plain_off(variant) is not None
+        assert _parse_plain_off(text + "# note\n") is None
+        assert _parse_plain_off(text.replace("OFF\n", "OFF ", 1)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=3, max_size=30),
+       ids=st.lists(st.integers(-2**63, 2**63 - 1), max_size=12))
+def test_save_off_matches_per_row_oracle(coords, ids):
+    mesh = Mesh(np.reshape(coords[:len(coords) // 3 * 3], (-1, 3)),
+                np.reshape(np.array(ids[:len(ids) // 3 * 3], dtype=np.int64), (-1, 3)))
+    buf = io.StringIO()
+    save_off(mesh, buf)
+    assert buf.getvalue() == oracle_save_off(mesh)
 
 
 def test_tetrahedron_off_euler():

@@ -1,22 +1,26 @@
 """Face-collapse pooling: weights, planning, application, backward."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshlearn import pooling
 from meshlearn.core import (Mesh, build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 from meshlearn.descriptors import descriptor_forward, init_descriptor_params
 from meshlearn.network import _replay_pool
-from meshlearn.pooling import (PassRecord, PoolPlan, Provenance, apply_pass,
-                               compute_face_weights, plan_pass, pool_to_target,
-                               pooling_backward, _finalize_plan)
+from meshlearn.pooling import (PassRecord, PooledMesh, PoolPlan, Provenance,
+                               apply_pass, compute_face_weights, plan_pass,
+                               pool_to_target, pooling_backward,
+                               _face_components, _finalize_plan)
 
 from conftest import (closed_corpus, disjoint_union, flip_edges, jitter_mesh,
                       rigid_transform, tetrahedron)
-from oracles import oracle_adjacency, oracle_plan_pass, oracle_weights
+from oracles import _components, oracle_adjacency, oracle_plan_pass, oracle_weights
 
 
 def _desc_features(mesh, seed=0, k=3):
@@ -24,6 +28,28 @@ def _desc_features(mesh, seed=0, k=3):
     geo = compute_geometry(mesh)
     params = init_descriptor_params(k, k, np.random.default_rng(seed))
     return adj, descriptor_forward(mesh, adj, geo, params)
+
+
+def _count_tries(monkeypatch) -> Counter:
+    """Count ``try_candidate`` calls per face; a face tried twice was
+    requeued by a watch list."""
+    tries = Counter()
+    try_candidate = pooling._PassState.try_candidate
+
+    def counting(self, f):
+        tries[f] += 1
+        return try_candidate(self, f)
+
+    monkeypatch.setattr(pooling._PassState, "try_candidate", counting)
+    return tries
+
+
+def _regions(plan):
+    return [(r.center, r.removed, r.old_vertices) for r in plan.regions]
+
+
+def _oracle_regions(mesh, weights, target):
+    return [(c, rm, cv) for c, rm, cv in oracle_plan_pass(mesh, weights, target)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +165,7 @@ def test_plan_matches_oracle_tied_weights_property(data):
         == [(c, rm, cv) for c, rm, cv in oracle]
 
 
-def test_plan_retry_heap_accepts_out_of_order():
+def test_plan_retry_heap_accepts_out_of_order(monkeypatch):
     # box(1) after a few edge flips: the low-valence vertices make face 2
     # fail at first and pass once the collapse around face 6 has been
     # committed, so the accepted centers are out of weight order
@@ -148,11 +174,63 @@ def test_plan_retry_heap_accepts_out_of_order():
     mesh = Mesh(box(1).vertices, np.array(faces))
     assert validate_mesh(mesh).ok
     weights = np.array([2, 2, 0, 0, 1, 2, 0, 1, 1, 2, 2, 2], dtype=float)
+    tries = _count_tries(monkeypatch)
     plan = plan_pass(mesh, build_adjacency(mesh), weights, 4)
     order = np.lexsort((np.arange(12), weights)).tolist()
     assert [order.index(r.center) for r in plan.regions] == [2, 0]
-    assert [(r.center, r.removed, r.old_vertices) for r in plan.regions] \
-        == [(c, rm, cv) for c, rm, cv in oracle_plan_pass(mesh, weights, 4)]
+    # face 2 was deferred, woken by the commit and accepted on its retry
+    assert plan.regions[1].center == 2 and tries[2] == 2
+    assert _regions(plan) == _oracle_regions(mesh, weights, 4)
+
+
+def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
+    # two passes to F/4: the first defers no face; the second, on the
+    # pooled mesh's irregular valences, defers faces and retries some of
+    # them after a commit wakes them
+    mesh = icosphere(3)
+    adj, feats = _desc_features(mesh)
+    target = mesh.num_faces // 4
+    current = PooledMesh(mesh=mesh, adjacency=adj, features=feats)
+    for _ in range(2):
+        tries = _count_tries(monkeypatch)
+        weights = compute_face_weights(current.features, current.adjacency)
+        plan = plan_pass(current.mesh, current.adjacency, weights, target)
+        assert _regions(plan) == _oracle_regions(current.mesh, weights, target)
+        current = apply_pass(current.mesh, current.features, plan)
+    assert max(tries.values()) > 1
+
+
+@pytest.mark.parametrize("mesh", [flip_edges(icosphere(1), np.random.default_rng(1), 30),
+                                  disjoint_union(torus(5, 3), box(1))])
+def test_watch_lists_wake_exactly_the_two_hop_faces(mesh):
+    # a commit wakes the deferred faces that share a vertex with a face
+    # sharing a vertex with a touched face
+    state = pooling._PassState(mesh, build_adjacency(mesh))
+    for f in range(mesh.num_faces):
+        state.defer(f)
+    incidence = np.zeros((mesh.num_faces, mesh.num_vertices), dtype=int)
+    np.put_along_axis(incidence, mesh.faces, 1, axis=1)
+    share = incidence @ incidence.T > 0
+    two_hop = (share.astype(int) @ share.astype(int)) > 0
+    for y in range(mesh.num_faces):
+        woken = {w for v in mesh.faces[y].tolist() for w in state.watch[v]}
+        assert woken == set(np.flatnonzero(two_hop[:, y]).tolist())
+
+
+def _interleaved_components() -> Mesh:
+    """Three components with their faces shuffled together, so that the
+    hooks cross between id ranges."""
+    mesh = disjoint_union(disjoint_union(icosphere(1), torus(6, 4)), box(2))
+    order = np.random.default_rng(5).permutation(mesh.num_faces)
+    return Mesh(mesh.vertices, mesh.faces[order])
+
+
+@pytest.mark.parametrize("mesh", PROPERTY_MESHES + [_interleaved_components()])
+def test_face_components_match_oracle(mesh):
+    comp, sizes = _face_components(build_adjacency(mesh))
+    want, want_sizes = _components([tuple(f) for f in mesh.faces.tolist()])
+    assert comp.tolist() == want
+    assert sizes.tolist() == [want_sizes[c] for c in range(len(want_sizes))]
 
 
 def test_plan_invariants(rng):
