@@ -48,10 +48,6 @@ def _regions(plan):
     return [(r.center, r.removed, r.old_vertices) for r in plan.regions]
 
 
-def _oracle_regions(mesh, weights, target):
-    return [(c, rm, cv) for c, rm, cv in oracle_plan_pass(mesh, weights, target)]
-
-
 # ---------------------------------------------------------------------------
 # weights
 
@@ -180,7 +176,7 @@ def test_plan_retry_heap_accepts_out_of_order(monkeypatch):
     assert [order.index(r.center) for r in plan.regions] == [2, 0]
     # face 2 was deferred, woken by the commit and accepted on its retry
     assert plan.regions[1].center == 2 and tries[2] == 2
-    assert _regions(plan) == _oracle_regions(mesh, weights, 4)
+    assert _regions(plan) == oracle_plan_pass(mesh, weights, 4)
 
 
 def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
@@ -191,11 +187,12 @@ def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
     adj, feats = _desc_features(mesh)
     target = mesh.num_faces // 4
     current = PooledMesh(mesh=mesh, adjacency=adj, features=feats)
+    tries = _count_tries(monkeypatch)
     for _ in range(2):
-        tries = _count_tries(monkeypatch)
+        tries.clear()
         weights = compute_face_weights(current.features, current.adjacency)
         plan = plan_pass(current.mesh, current.adjacency, weights, target)
-        assert _regions(plan) == _oracle_regions(current.mesh, weights, target)
+        assert _regions(plan) == oracle_plan_pass(current.mesh, weights, target)
         current = apply_pass(current.mesh, current.features, plan)
     assert max(tries.values()) > 1
 
