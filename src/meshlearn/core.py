@@ -500,21 +500,19 @@ def compute_geometry(mesh: Mesh) -> GeometryCache:
         raise MeshError(f"zero-area face {int(bad[0])}")
     normals = cross / norms[:, None]
 
-    vsum = np.zeros((mesh.num_vertices, 3))
-    vcount = np.zeros(mesh.num_vertices)
-    for k in range(3):
-        np.add.at(vsum, f[:, k], normals)
-        np.add.at(vcount, f[:, k], 1.0)
+    V, F = mesh.num_vertices, mesh.num_faces
+    vsum = np.zeros((V, 3))
+    # slot-major order: every face's slot 0, then slot 1, then slot 2
+    np.add.at(vsum, f.T.ravel(), np.tile(normals, (3, 1)))
+    vcount = np.bincount(f.ravel(), minlength=V)
     used = vcount > 0
     vnormals = np.zeros_like(vsum)
     vnormals[used] = vsum[used] / vcount[used, None]
     vn = np.linalg.norm(vnormals, axis=1)
     zero = used & (vn <= 1e-300)
     if zero.any():
-        first = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        for fi in range(mesh.num_faces - 1, -1, -1):
-            for k in range(3):
-                first[f[fi, k]] = fi
+        first = np.full(V, F, dtype=np.int64)
+        np.minimum.at(first, f.ravel(), np.repeat(np.arange(F), 3))
         vnormals[zero] = normals[first[zero]]
         vn = np.linalg.norm(vnormals, axis=1)
     nz = vn > 0

@@ -284,6 +284,8 @@ class SyntheticSpec:
             raise ValueError("face band lower bound exceeds upper bound")
         if self.jitter < 0:
             raise ValueError("jitter must be >= 0")
+        if self.samples_per_class < 1:
+            raise ValueError("samples per class must be >= 1")
         for c in self.classes:
             if c not in GENERATORS:
                 raise ValueError(f"unknown synthetic class {c!r}")

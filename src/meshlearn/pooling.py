@@ -5,9 +5,9 @@ edge-neighbors, greedily selects a conflict-free set of low-score faces,
 and collapses each selected face: its three vertices merge into one
 point at the face centroid, which removes the face and its three
 edge-neighbors (2 vertices, 6 edges, 4 faces per collapse, preserving
-the Euler characteristic). Faces around the collapse ("ring") survive
-with vertices moved to the merge points and receive the average of the
-features they absorb.
+the Euler characteristic). Each surviving face at a merge point (a
+"ring" face) averages its features with those of the collapse's removed
+faces it shares a vertex with.
 
 Conflicts between candidate collapses are decided by simulating the
 combined result of all selections so far: a candidate is accepted only
@@ -38,14 +38,12 @@ from .core import CSR, NONE, AdjacencyMatrix, Mesh, MeshError, build_adjacency
 
 @dataclass
 class PoolRegion:
-    """One planned collapse: the center face, the faces that disappear,
-    and the ring whose connectivity changes."""
+    """One planned collapse: the center face, the faces that disappear
+    and the center vertices that merge at the face's centroid."""
 
     center: int
     removed: list[int]        # sorted; {center} + its 3 edge-neighbors
-    ring: list[int]           # sorted; vertex-sharing faces outside removed
-    old_vertices: list[int]   # the 3 vertex ids of the center face
-    merged_vertex: np.ndarray  # collapse point (center face centroid)
+    old_vertices: list[int]   # sorted; the 3 vertex ids of the center face
 
 
 class Provenance(CSR):
@@ -169,9 +167,6 @@ def _vertex_to_faces(mesh: Mesh) -> list[list[int]]:
     return [faces_of[a:b] for a, b in zip([0] + ends, ends)]
 
 
-BLOCKED = False   # try_candidate: the face can never collapse in this pass
-
-
 class _PassState:
     """Incrementally maintained simulation of one pooling pass.
 
@@ -198,11 +193,13 @@ class _PassState:
     ``settled`` marks the faces that can never collapse in this pass: from
     the start those with a border slot or a repeated neighbor, and from
     each commit on every neighbor of a removed face and every face at a
-    merged vertex (faces only die and vertices are only merged). A face
-    the simulation rejects only for now is deferred on the watch list of
-    every vertex of its one-ring faces; a commit wakes the faces watching
-    the vertices of the faces it touched, which are exactly the deferred
-    faces within two vertex hops of them.
+    merged vertex (faces only die and vertices are only merged). The walk
+    skips these and the faces whose component would keep fewer than 4
+    faces, so a face tried is accepted or rejected only for now. Such a
+    face is deferred on the watch list of every vertex of its one-ring
+    faces; a commit wakes the faces watching the vertices of the faces it
+    touched, which are exactly the deferred faces within two vertex hops
+    of them.
 
     Everything is held in flat Python lists, which index far faster one
     element at a time than NumPy rows: ``faces`` and ``neighbors`` are the
@@ -229,13 +226,9 @@ class _PassState:
     def try_candidate(self, f: int):
         """Return the collapse of the alive, unsettled face f as (removed,
         ring, new_tris, center_verts) if it is compatible with everything
-        accepted so far. Otherwise return BLOCKED if no later commit can
-        make it compatible, or None if the simulation rejects it for now."""
+        accepted so far, or None if the simulation rejects it for now."""
         nbs = set(self.neighbors[f])
         nbs.add(f)
-        # components only shrink, so this rejection is final
-        if self.comp_left[self.comp[f]] - 4 < 4:
-            return BLOCKED
         cvs = set(self.faces[f])
         removed = sorted(nbs)
         alive, v2f = self.alive, self.v2f
@@ -320,12 +313,14 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     _PassState), so accepted collapses always compose into a valid
     simultaneous application.
 
-    The order is walked once. A settled face is skipped and never tried
-    again; a face the simulation rejects for now is deferred, and a later
-    commit within its two-hop neighborhood wakes it and puts its position
-    on a retry heap. Every tried face lies before the walk pointer, so the
-    smallest queued position, if any, is the first eligible face, and
-    otherwise the walk continues.
+    The order is walked once. A settled face is skipped, and so is a face
+    whose component would keep fewer than 4 faces (components only
+    shrink). Every other face is tried: a compatible collapse is
+    committed, and a face the simulation rejects for now is deferred until
+    a later commit within its two-hop neighborhood wakes it and puts its
+    position on a retry heap. Every tried face lies before the walk
+    pointer, so the smallest queued position, if any, is the first
+    eligible face, and otherwise the walk continues.
     """
     if target < 4:
         raise ValueError("target face count must be >= 4")
@@ -335,11 +330,12 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
         return _finalize_plan(mesh, [])
     state = _PassState(mesh, adj)
     alive, settled = state.alive, state.settled
+    comp, comp_left = state.comp, state.comp_left
     order = np.lexsort((np.arange(F), weights))
     position = np.empty(F, dtype=np.int64)
     position[order] = np.arange(F)
     order, position = order.tolist(), position.tolist()
-    accepted: list[tuple] = []      # (center, removed, ring, center verts)
+    regions: list[PoolRegion] = []
     retry: list[int] = []           # heap of positions of woken faces
     queued = [False] * F
     walk = 0                        # first position never tried
@@ -352,62 +348,48 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
             walk += 1
         else:
             break
-        if settled[f] or not alive[f]:
+        if settled[f] or not alive[f] or comp_left[comp[f]] < 8:
             continue
         cand = state.try_candidate(f)
         if cand is None:
             state.defer(f)
             continue
-        if cand is BLOCKED:
-            settled[f] = True
-            continue
-        removed, ring, _, cvs = cand
-        accepted.append((f, removed, ring, cvs))
+        removed, _, _, cvs = cand
+        regions.append(PoolRegion(f, removed, cvs))
         projected -= len(removed)
         for w in state.commit(f, cand):
             if alive[w] and not settled[w] and not queued[w]:
                 queued[w] = True
                 heapq.heappush(retry, position[w])
-    centers = mesh.faces[[a[0] for a in accepted]]
-    regions = [PoolRegion(center=f, removed=removed, ring=ring, old_vertices=cvs,
-                          merged_vertex=point)
-               for (f, removed, ring, cvs), point
-               in zip(accepted, mesh.vertices[centers].mean(axis=1))]
     return _finalize_plan(mesh, regions)
 
 
 def _finalize_plan(mesh: Mesh, regions: list[PoolRegion]) -> PoolPlan:
     F, V = mesh.num_faces, mesh.num_vertices
-    removed_faces = np.zeros(F, dtype=bool)
-    removed_faces[[h for r in regions for h in r.removed]] = True
-    gone = removed_faces.tolist()
-    # rings are trimmed to faces that actually survive the whole pass
-    for r in regions:
-        r.ring = [g for g in r.ring if not gone[g]]
-    survivors = np.flatnonzero(~removed_faces)
+    removed = np.array([r.removed for r in regions], dtype=np.int64).reshape(-1, 4)
+    old_vertices = np.array([r.old_vertices for r in regions],
+                            dtype=np.int64).reshape(-1, 3)
+    survivors = np.setdiff1d(np.arange(F), removed)
     face_remap = np.full(F, -1, dtype=np.int64)
     face_remap[survivors] = np.arange(len(survivors))
 
-    old_vertices = [v for r in regions for v in r.old_vertices]
-    removed_verts = np.zeros(V, dtype=bool)
-    removed_verts[old_vertices] = True
+    kept = np.setdiff1d(np.arange(V), old_vertices)
+    n_survive = len(kept)
     vertex_remap = np.full(V, -1, dtype=np.int64)
-    n_survive = int((~removed_verts).sum())
-    vertex_remap[~removed_verts] = np.arange(n_survive)
+    vertex_remap[kept] = np.arange(n_survive)
     merged_ids = np.arange(n_survive, n_survive + len(regions), dtype=np.int64)
-    vertex_remap[old_vertices] = np.repeat(
-        merged_ids, [len(r.old_vertices) for r in regions])
+    vertex_remap[old_vertices] = merged_ids[:, None]
 
-    # every survivor averages itself and, if it is a ring face, the removed
-    # faces of its regions that share a vertex with it
-    ring = np.array([g for r in regions for g in r.ring for _ in r.removed],
-                    dtype=np.int64)
-    lost = np.array([h for r in regions for _ in r.ring for h in r.removed],
-                    dtype=np.int64)
+    # each survivor averages itself and, per merge point it holds, the
+    # removed faces of that region sharing a vertex with it (it holds at
+    # most one vertex of a center face: two would make it a neighbor)
     f = mesh.faces
-    touch = (f[ring][:, :, None] == f[lost][:, None, :]).any(axis=(1, 2))
+    region = vertex_remap[f[survivors]] - n_survive
+    held, slot = np.nonzero(region >= 0)
+    lost = removed[region[held, slot]]
+    touch = (f[survivors[held], None, :, None] == f[lost][:, :, None, :]).any(axis=(2, 3))
     provenance = Provenance.from_pairs(
-        np.concatenate([np.arange(len(survivors)), face_remap[ring[touch]]]),
+        np.concatenate([np.arange(len(survivors)), np.repeat(held, 4)[touch.ravel()]]),
         np.concatenate([survivors, lost[touch]]), len(survivors))
     return PoolPlan(regions=regions, face_remap=face_remap,
                     vertex_remap=vertex_remap, merged_ids=merged_ids,
@@ -433,8 +415,8 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
     # surviving vertices keep their coordinates, merged ones get centroids
     new_verts = np.empty((plan.num_new_vertices, 3))
     new_verts[plan.vertex_remap] = mesh.vertices
-    new_verts[plan.merged_ids] = np.reshape([r.merged_vertex for r in plan.regions],
-                                            (-1, 3))
+    centers = mesh.faces[[r.center for r in plan.regions]]
+    new_verts[plan.merged_ids] = mesh.vertices[centers].mean(axis=1)
 
     survive_f = plan.face_remap >= 0
     new_faces = plan.vertex_remap[mesh.faces[survive_f]]

@@ -35,6 +35,12 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 class SGDMomentum:
@@ -90,9 +96,7 @@ class Adam:
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
         return SGDMomentum(cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    if cfg.optimizer == "adam":
-        return Adam(cfg.learning_rate, weight_decay=cfg.weight_decay)
-    raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+    return Adam(cfg.learning_rate, weight_decay=cfg.weight_decay)
 
 
 @dataclass

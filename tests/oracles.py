@@ -383,3 +383,23 @@ def oracle_plan_pass(mesh: Mesh, weights: np.ndarray, target: int):
         if not progressed:
             break
     return committed
+
+
+def oracle_provenance(mesh: Mesh, regions) -> list[list[int]]:
+    """Provenance rows of one pass by the documented rule, in a scalar
+    loop over the (center, removed, old_vertices) triples: each surviving
+    face, in ascending order, averages itself and, for every region whose
+    center face shares a vertex with it, each removed face of that region
+    that shares a vertex with it. Rows are ascending."""
+    faces = [set(f) for f in mesh.faces.tolist()]
+    gone = {h for _, removed, _ in regions for h in removed}
+    rows = []
+    for g, fg in enumerate(faces):
+        if g in gone:
+            continue
+        row = {g}
+        for center, removed, _ in regions:
+            if faces[center] & fg:
+                row.update(h for h in removed if faces[h] & fg)
+        rows.append(sorted(row))
+    return rows

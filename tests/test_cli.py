@@ -210,7 +210,13 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("head = foo", "unknown head 'foo'"),
     ("abs_mode = foo", "unknown abs_mode 'foo'"),
     ("region_sizes = 2 6 9", "region_sizes (2, 6, 9) has an entry below 3"),
-], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size"])
+    ("train.epochs = 0", "epochs must be >= 1"),
+    ("train.epochs = -3", "epochs must be >= 1"),
+    ("train.threads = 0", "threads must be >= 1"),
+    ("train.optimizer = foo", "unknown optimizer 'foo'"),
+    ("synthetic.samples_per_class = 0", "samples per class must be >= 1"),
+], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size", "epochs_zero",
+        "epochs_negative", "threads_zero", "optimizer", "samples_per_class"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):

@@ -1,0 +1,41 @@
+"""The benchmark in ``perfbench/`` still runs against this source tree:
+every name its tracer wraps exists, a traced pooling stage reports its
+counts, and the stage passes the benchmark's own output checks."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from meshlearn import pooling
+from meshlearn.core import build_adjacency
+from meshlearn.data import icosphere
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import checks  # noqa: E402
+import tracing  # noqa: E402
+
+
+def test_tracer_installs_and_uninstalls():
+    plan_pass = pooling.plan_pass
+    tracer = tracing.LayerTracer()
+    try:
+        tracer.install()
+        assert pooling.plan_pass is not plan_pass
+    finally:
+        tracer.uninstall()
+    assert pooling.plan_pass is plan_pass
+
+
+def test_traced_pool_stage_counts_and_passes_checks():
+    mesh = icosphere(2)
+    adj = build_adjacency(mesh)
+    feats = np.random.default_rng(0).normal(size=(mesh.num_faces, 3))
+    target = mesh.num_faces // 4
+    tracer = tracing.LayerTracer()
+    with tracer.traced("job"):
+        pooled = pooling.pool_to_target(mesh, adj, feats, target)
+    metrics = tracer.metrics()
+    assert metrics["pooling.collapses"][0] > 0
+    assert metrics["pooling.passes"][0] >= 1
+    assert checks.stage_problems(mesh, adj, feats, target, pooled) == []

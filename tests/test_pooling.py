@@ -20,7 +20,8 @@ from meshlearn.pooling import (PassRecord, PooledMesh, PoolPlan, Provenance,
 
 from conftest import (closed_corpus, disjoint_union, flip_edges, jitter_mesh,
                       rigid_transform, tetrahedron)
-from oracles import _components, oracle_adjacency, oracle_plan_pass, oracle_weights
+from oracles import (_components, oracle_adjacency, oracle_plan_pass,
+                     oracle_provenance, oracle_weights)
 
 
 def _desc_features(mesh, seed=0, k=3):
@@ -241,12 +242,27 @@ def test_plan_invariants(rng):
         assert len(r.removed) == 4 and r.center in r.removed
         assert not (set(r.removed) & seen)          # removed sets disjoint
         seen.update(r.removed)
-        cvs = set(r.old_vertices)
-        assert len(cvs) == 3
-        for g in r.ring:
-            assert set(int(v) for v in mesh.faces[g]) & cvs
+        assert r.old_vertices == sorted(mesh.faces[r.center].tolist())
     assert mesh.num_faces - plan.num_removed == plan.num_new_faces
     assert plan.num_new_faces >= target - 3
+
+
+def _bordered(mesh: Mesh, drop: int, seed: int) -> Mesh:
+    gone = np.random.default_rng(seed).choice(mesh.num_faces, drop, replace=False)
+    return Mesh(mesh.vertices, np.delete(mesh.faces, gone, axis=0))
+
+
+@pytest.mark.parametrize("mesh", PROPERTY_MESHES
+                         + [_bordered(icosphere(2), n, n) for n in (1, 2, 3)]
+                         + [jitter_mesh(icosphere(3), np.random.default_rng(7))])
+def test_provenance_matches_oracle(mesh):
+    adj, feats = _desc_features(mesh)
+    F = mesh.num_faces
+    for weights in (compute_face_weights(feats, adj), np.zeros(F)):
+        for target in (max(4, F // 2), max(4, F // 4)):
+            plan = plan_pass(mesh, adj, weights, target)
+            assert [row.tolist() for row in plan.provenance] \
+                == oracle_provenance(mesh, _regions(plan))
 
 
 def test_manifold_guard_posthoc_scan(rng):
@@ -346,9 +362,8 @@ def test_provenance_covers_every_old_face(rng):
     for lst in plan.provenance:
         contributors.update(lst)
     removed = {h for r in plan.regions for h in r.removed}
-    ring = {g for r in plan.regions for g in r.ring}
-    # every removed face adjacent to a ring face is averaged somewhere
-    assert removed & contributors or not ring
+    # removed faces at the merge points are averaged somewhere
+    assert plan.regions and removed & contributors
     survivors = set(np.nonzero(plan.face_remap >= 0)[0].tolist())
     assert survivors <= contributors
 
