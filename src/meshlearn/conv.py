@@ -9,10 +9,17 @@ contributions are accumulated in ascending face-id order so the result
 is bit-identical under any permutation of the stored region list.
 
 Regions of all faces grow at once by a lockstep BFS. Each region table
-builds its sparse structure once: canonical member order, validity mask,
-padded rows and the transposed CSR of its valid slots. The backward pass
-scatters through that CSR, each face's terms in ascending source order
-as ``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
+builds its sparse structure once, slot-major: canonical member order and
+validity mask as (K, F) tables, the padded rows, and the transposed CSR of
+its valid slots. The convolution works on (K, F, C) tensors, so each sum
+over a region is K - 1 adds of whole (F, C) slabs, in slot order. That is
+the order in which NumPy reduces a face-major (F, K, C) array, with one
+exception: with one channel, NumPy sums a contiguous face-major row
+pairwise once K >= 8, so a one-channel slot sum reduces a face-major copy
+instead. The backward cache keeps ``valid`` and ``diff`` as transposed
+(F, K, ...) views of the slot-major arrays. The backward pass scatters
+through the CSR, each face's terms in ascending source face as
+``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
 added their +-0.0 onto face 0, which changed no finite result: a gradient
 row starts as a matrix product, never -0.0, and x + +-0.0 = x for every
 other x. (A non-finite padded row no longer leaks onto face 0.)
@@ -34,10 +41,11 @@ class RegionTable:
     ``members[f]`` holds up to ``kernel_size`` surrounding face ids in BFS
     discovery order, padded with -1; ``counts[f]`` is the actual number.
     A row is shorter than K only when the face's connected component has
-    fewer than K+1 faces. Derived on construction: ``idx`` (members
-    ascending, padding last as face 0), its mask ``valid``, the ``padded``
-    row ids, and ``scatter``, whose row g lists the positions ``f*K + k``
-    of ``idx`` holding face g.
+    fewer than K+1 faces. Derived on construction, slot-major: ``idx``
+    (K, F), whose column f is ``members[f]`` ascending with padding last
+    as face 0, its mask ``valid`` (K, F), the ``padded`` face ids, and
+    ``scatter``, whose row g lists the positions ``k*F + f`` of ``idx``
+    holding face g in ascending source face f. No face-major copy is kept.
     """
 
     kernel_size: int
@@ -45,13 +53,18 @@ class RegionTable:
     counts: np.ndarray   # (F,) int64
 
     def __post_init__(self):
-        big = self.num_faces + 1
-        m = np.sort(np.where(self.members < 0, big, self.members), axis=1)
-        self.valid = m < big
-        self.idx = np.where(self.valid, m, 0)
-        self.padded = np.flatnonzero(~self.valid.all(axis=1))
-        pos = np.flatnonzero(self.valid)
-        self.scatter = CSR.from_pairs(self.idx.ravel()[pos], pos, self.num_faces)
+        F, K = self.members.shape
+        m = np.where(self.members < 0, F + 1, self.members)
+        m = np.ascontiguousarray(np.sort(m, axis=1).T)
+        self.valid = m <= F
+        m[~self.valid] = 0
+        self.idx = m
+        self.padded = np.flatnonzero(~self.valid.all(axis=0))
+        # pairs keyed by the face-major position f*K + k sort each target's
+        # sources by face; the stored columns are then made slot-major
+        f, k = np.divmod(np.flatnonzero(self.valid.T), K)
+        t = CSR.from_pairs(m[k, f], f * K + k, F)
+        self.scatter = CSR(t.indptr, t.indices % K * F + t.indices // K)
 
     @property
     def num_faces(self) -> int:
@@ -129,6 +142,15 @@ def init_conv_params(c_in: int, c_out: int, rng: np.random.Generator) -> ConvPar
     )
 
 
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """(F, C) sum of a (K, F, C) array over its slots, bit for bit as NumPy
+    reduces the face-major (F, K, C) copy: slot after slot, except pairwise
+    along a contiguous one-channel row."""
+    if x.shape[2] == 1:
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=1)
+    return x.sum(axis=0)
+
+
 def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
                  activation: bool = True, normalize: bool = False,
                  return_cache: bool = False):
@@ -138,19 +160,19 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     if features.shape[1] != params.in_channels:
         raise ValueError("feature channels do not match conv params")
     pad, valid = regions.padded, regions.valid
-    diff = features[regions.idx]                           # (F, K, C)
-    diff[pad] *= valid[pad, :, None]
-    s1 = diff.sum(axis=1)
-    np.subtract(features[:, None, :], diff, out=diff)
-    diff[pad] = np.where(valid[pad, :, None], diff[pad], 0.0)
-    s2 = np.abs(diff).sum(axis=1)
+    diff = features[regions.idx]                           # (K, F, C)
+    diff[:, pad] *= valid[:, pad, None]
+    s1 = _slot_sum(diff)
+    np.subtract(features, diff, out=diff)
+    diff[:, pad] = np.where(valid[:, pad, None], diff[:, pad], 0.0)
+    s2 = _slot_sum(np.abs(diff))
     if normalize:
         denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
         s1, s2 = s1 / denom, s2 / denom
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
     if return_cache:
-        return out, {"valid": valid, "diff": diff, "s1": s1, "s2": s2, "z": z,
+        return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2), "s1": s1, "s2": s2, "z": z,
                      "normalize": normalize}
     return out
 
@@ -167,20 +189,21 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     if cache is None:
         _, cache = conv_forward(features, regions, params, activation=activation,
                                 normalize=normalize, return_cache=True)
-    diff, s1, s2, z = cache["diff"], cache["s1"], cache["s2"], cache["z"]
+    s1, s2, z = cache["s1"], cache["s2"], cache["z"]
     gz = grad_out * (z > 0) if activation else grad_out
     h1 = gz @ params.w1   # (F, C_in) pull-back of the neighbor sum
     h2 = gz @ params.w2   # pull-back of the abs-diff sum
     if normalize:
         denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
         h1, h2 = h1 / denom, h2 / denom
-    sign = np.sign(diff)                                   # (F, K, C_in)
+    sign = np.sign(cache["diff"].transpose(1, 0, 2))      # (K, F, C_in)
     grad_features = gz @ params.w0
-    grad_features += h2 * sign.sum(axis=1)
+    # sums of -1/0/1 are exact in any order, so no one-channel rule here
+    grad_features += h2 * sign.sum(axis=0)
     # per slot h1 - h2 * sign, scattered onto its member (padding skipped)
-    scatter = np.multiply(h2[:, None, :], sign, out=sign)
-    np.subtract(h1[:, None, :], scatter, out=scatter)
-    regions.scatter.segment_sum(scatter.reshape(-1, features.shape[1]),
+    np.multiply(h2, sign, out=sign)
+    np.subtract(h1, sign, out=sign)
+    regions.scatter.segment_sum(sign.reshape(-1, features.shape[1]),
                                 out=grad_features)
     return grad_features, ConvParams(gz.T @ features, gz.T @ s1, gz.T @ s2,
                                      gz.sum(axis=0))

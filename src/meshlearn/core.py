@@ -10,6 +10,7 @@ the ``NONE`` sentinel (-1), never as face index 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -117,16 +118,37 @@ class CSR:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
+    @cached_property
+    def _rounds(self) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Round k of ``segment_sum``: the k-th column of every row longer
+        than k, and those rows (None when that is every row)."""
+        counts = np.diff(self.indptr)
+        rounds = []
+        for k in range(int(counts.max(initial=0))):
+            live = np.flatnonzero(counts > k)
+            rounds.append((self.indices[self.indptr[live] + k],
+                           None if len(live) == len(self) else live))
+        return rounds
+
     def segment_sum(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Row j: ``values[self[j]]`` added onto ``out[j]`` (in place; zeros
         if None) strictly left to right, the order of a scalar loop or of
-        ``np.add.at`` (``np.add.reduceat`` may reassociate)."""
-        counts = np.diff(self.indptr)
+        ``np.add.at`` (``np.add.reduceat`` may reassociate). The rounds are
+        built on the first call and kept."""
         if out is None:
             out = np.zeros((len(self),) + values.shape[1:])
-        for k in range(int(counts.max(initial=0))):
-            live = np.flatnonzero(counts > k)
-            out[live] += values[self.indices[self.indptr[live] + k]]
+        rounds = self._rounds
+        if not rounds:
+            return out
+        buf = np.empty((len(rounds[0][0]),) + values.shape[1:], dtype=values.dtype)
+        for cols, live in rounds:
+            # mode="clip" lets take write into buf directly ("raise" would
+            # buffer); the columns are in range by construction
+            part = np.take(values, cols, axis=0, out=buf[:len(cols)], mode="clip")
+            if live is None:
+                out += part
+            else:
+                out[live] += part
         return out
 
 
