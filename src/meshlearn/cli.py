@@ -127,10 +127,15 @@ def cmd_pool(args) -> int:
 def _load_train_test(args, synth_kw):
     if args.synthetic:
         spec = SyntheticSpec(**synth_kw)
-        dataset = generate_synthetic(spec)
         per_class_train = args.per_class_train or \
             max(1, int(spec.samples_per_class * 2 / 3))
-        return make_splits(dataset, per_class_train, seed=spec.seed)
+        # make_splits' own check, made before any mesh is generated
+        if per_class_train + 1 > spec.samples_per_class:
+            raise ValueError(
+                f"{spec.samples_per_class} synthetic samples per class; "
+                f"{per_class_train} train per class needs at least "
+                f"{per_class_train + 1}")
+        return make_splits(generate_synthetic(spec), per_class_train, seed=spec.seed)
     if not args.data:
         raise MeshError("either --data or --synthetic is required")
     dataset = load_dataset(args.data)

@@ -172,8 +172,8 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
     if return_cache:
-        return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2), "s1": s1, "s2": s2, "z": z,
-                     "normalize": normalize}
+        return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2),
+                     "s1": s1, "s2": s2, "z": z, "normalize": normalize}
     return out
 
 

@@ -137,11 +137,8 @@ class CSR:
         built on the first call and kept."""
         if out is None:
             out = np.zeros((len(self),) + values.shape[1:])
-        rounds = self._rounds
-        if not rounds:
-            return out
-        buf = np.empty((len(rounds[0][0]),) + values.shape[1:], dtype=values.dtype)
-        for cols, live in rounds:
+        buf = np.empty((len(self),) + values.shape[1:], dtype=values.dtype)
+        for cols, live in self._rounds:
             # mode="clip" lets take write into buf directly ("raise" would
             # buffer); the columns are in range by construction
             part = np.take(values, cols, axis=0, out=buf[:len(cols)], mode="clip")

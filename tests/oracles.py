@@ -6,7 +6,8 @@ by a dense (F, K, C) gather and an ``np.add.at`` scatter, weights by a
 plain per-face Python loop, pooling plans by a naive greedy that
 re-validates every candidate against a from-scratch reconstruction of
 the whole post-collapse mesh, and OFF files by a per-line parser and a
-per-row writer. The library must bit-match all of them.
+per-row writer, OBJ files by a per-line parser. The library must bit-match
+all of them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from meshlearn.core import NONE, Mesh, MeshError
 
 # ---------------------------------------------------------------------------
-# OFF file I/O
+# OFF and OBJ file I/O
 
 
 def oracle_load_off(text: str) -> Mesh:
@@ -93,6 +94,42 @@ def oracle_save_off(mesh: Mesh) -> str:
     for f in mesh.faces:
         buf.write("3 %d %d %d\n" % (f[0], f[1], f[2]))
     return buf.getvalue()
+
+
+def oracle_load_obj(text: str) -> Mesh:
+    """Per-line OBJ parser: ``v`` and triangular ``f`` lines (``#`` comments
+    cut, other keywords skipped), 1-based or negative relative indices,
+    texture/normal sub-indices ignored; each error names its line."""
+    verts: list[list[float]] = []
+    faces: list[list[int]] = []
+    for n, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        p = ln.split()
+        if p[0] == "v":
+            if len(p) < 4:
+                raise MeshError(f"line {n}: malformed vertex line")
+            try:
+                verts.append([float(p[1]), float(p[2]), float(p[3])])
+            except ValueError:
+                raise MeshError(f"line {n}: malformed vertex line") from None
+        elif p[0] == "f":
+            if len(p) != 4:
+                raise MeshError(f"non-triangle face at line {n}")
+            idx = []
+            for tok in p[1:]:
+                head = tok.split("/")[0]
+                try:
+                    i = int(head)
+                except ValueError:
+                    raise MeshError(f"line {n}: malformed face index {tok!r}") from None
+                idx.append(i - 1 if i > 0 else len(verts) + i)
+            if any(i < 0 or i >= len(verts) for i in idx):
+                raise MeshError(f"line {n}: vertex index out of range")
+            faces.append(idx)
+    return Mesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
+                np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,11 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("train.threads = 0", "threads must be >= 1"),
     ("train.optimizer = foo", "unknown optimizer 'foo'"),
     ("synthetic.samples_per_class = 0", "samples per class must be >= 1"),
+    ("synthetic.samples_per_class = 1", "1 train per class needs at least 2"),
+    ("synthetic.face_band = 140 80", "face band lower bound exceeds upper bound"),
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size", "epochs_zero",
-        "epochs_negative", "threads_zero", "optimizer", "samples_per_class"])
+        "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
+        "no_test_sample", "face_band"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):
@@ -227,6 +230,19 @@ def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
     out = str(tmp_path / "run")
     assert run(["train", "--synthetic", "--config", cfg, "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_train_per_class_train_checked_before_data(tmp_path, capsys, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the split was checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_data)
+    cfg = _write_config(tmp_path)          # 3 synthetic samples per class
+    out = str(tmp_path / "run")
+    assert run(["train", "--synthetic", "--config", cfg, "--per-class-train", "3",
+                "--out", out]) == 2
+    assert "3 train per class needs at least 4" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -1,5 +1,7 @@
 """Region construction and the three-term order-invariant convolution."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,10 +271,13 @@ def test_backward_grad_shape_mismatch(rng):
 
 
 def _oracle_cases():
-    """Closed corpus meshes, and padded tables: components with fewer than
-    K+1 faces."""
+    """Closed corpus meshes, closed meshes at K >= 8 (where NumPy sums a
+    one-channel face-major row pairwise), and padded tables: components
+    with fewer than K+1 faces."""
     for mesh in closed_corpus(seeds=range(6)):
         yield mesh, 6
+    for mesh, K in ((icosphere(1), 8), (torus(8, 4), 9), (box(2), 12)):
+        yield mesh, K
     for mesh in (tetrahedron(), icosahedron()):
         for K in (6, 9):
             yield mesh, K
@@ -290,12 +295,12 @@ def _signed_zeros(x, rng):
 @pytest.mark.parametrize("activation", [False, True])
 def test_conv_matches_oracle_bytes(normalize, activation):
     rng = np.random.default_rng(11)
-    for mesh, K in _oracle_cases():
+    for (mesh, K), C in itertools.product(_oracle_cases(), (1, 2, 5)):
         adj = build_adjacency(mesh)
         regions = build_regions(adj, K)
         F = mesh.num_faces
-        feats = _signed_zeros(rng.normal(size=(F, 5)), rng)
-        params = init_conv_params(5, 4, rng)
+        feats = _signed_zeros(rng.normal(size=(F, C)), rng)
+        params = init_conv_params(C, 4, rng)
         # the second gradient is -0.0 on face 0's component, which makes
         # face 0's input gradient exactly zero: the one value whose sign
         # the oracle's +-0.0 padding terms could change
@@ -318,5 +323,28 @@ def test_conv_matches_oracle_bytes(normalize, activation):
             assert cache["z"].tobytes() == ref_cache["z"].tobytes()
             assert gf.tobytes() == ref_gf.tobytes()
             assert grad_out is not quiet or not gf[0].any()
+            for got, ref in zip((gp.w0, gp.w1, gp.w2, gp.bias), ref_gp):
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_conv_backward_bordered_matches_oracle_bytes():
+    """icosphere(2) with faces removed: faces near the border lie in fewer
+    regions, so the scatter's late rounds reach only some faces. Two
+    backward passes on one table reuse its rounds."""
+    rng = np.random.default_rng(5)
+    mesh = icosphere(2)
+    mesh = Mesh(mesh.vertices, np.delete(mesh.faces, [0, 7, 40, 41, 200], axis=0))
+    regions = build_regions(build_adjacency(mesh), 9)
+    in_degree = np.diff(regions.scatter.indptr)
+    assert in_degree.min() < in_degree.max()
+    F = mesh.num_faces
+    for C in (1, 5):
+        feats = _signed_zeros(rng.normal(size=(F, C)), rng)
+        params = init_conv_params(C, 3, rng)
+        for _ in range(2):
+            grad_out = _signed_zeros(rng.normal(size=(F, 3)), rng)
+            gf, gp = conv_backward(feats, regions, params, grad_out)
+            ref_gf, ref_gp = oracle_conv_backward(feats, regions, params, grad_out)
+            assert gf.tobytes() == ref_gf.tobytes()
             for got, ref in zip((gp.w0, gp.w1, gp.w2, gp.bias), ref_gp):
                 assert got.tobytes() == ref.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshlearn.core import (NONE, Mesh, MeshError, build_adjacency,
+from meshlearn.core import (CSR, NONE, Mesh, MeshError, build_adjacency,
                             compute_geometry, degeneracy_threshold,
                             edge_lengths_sq, euler_characteristic, face_areas,
                             load_mesh, load_obj, load_off, normalize_mesh,
@@ -17,7 +17,8 @@ from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 
 from conftest import (closed_corpus, jitter_mesh, rigid_transform,
                       single_triangle, tetrahedron)
-from oracles import oracle_adjacency, oracle_load_off, oracle_save_off
+from oracles import (oracle_adjacency, oracle_load_obj, oracle_load_off,
+                     oracle_save_off)
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +125,16 @@ ODD_SPACES = [" ", "  ", "\t", "\r\n", "\r", "\n\n", "\n \n", "\x0b", "\x0c",
 
 
 @st.composite
-def mutated_off(draw):
-    """A save_off text with up to four token or whitespace mutations."""
-    pieces = re.split(r"(\s+)", draw(st.sampled_from(OFF_TEXTS)))
+def mutated_text(draw, texts, odd_tokens):
+    """One of ``texts`` with up to four token or whitespace mutations."""
+    pieces = re.split(r"(\s+)", draw(st.sampled_from(texts)))
     # tokens sit at even positions, the whitespace between them at odd ones
     for _ in range(draw(st.integers(0, 4))):
         token = 2 * draw(st.integers(0, (len(pieces) - 1) // 2))
         space = token + 1 if token + 1 < len(pieces) else token - 1
         kind = draw(st.sampled_from(["token", "space", "swap", "insert", "cut"]))
         if kind == "token":
-            pieces[token] = draw(st.sampled_from(ODD_TOKENS))
+            pieces[token] = draw(st.sampled_from(odd_tokens))
         elif kind == "space" and space > 0:
             pieces[space] = draw(st.sampled_from(ODD_SPACES))
         elif kind == "swap":
@@ -141,13 +142,13 @@ def mutated_off(draw):
             pieces[token], pieces[other] = pieces[other], pieces[token]
         elif kind == "insert":
             pieces[token + 1:token + 1] = [draw(st.sampled_from(ODD_SPACES[:-1])),
-                                           draw(st.sampled_from(ODD_TOKENS))]
+                                           draw(st.sampled_from(odd_tokens))]
         elif kind == "cut":
             del pieces[max(token, 1):]
     return "".join(pieces)
 
 
-def _off_outcome(load, source):
+def _load_outcome(load, source):
     """Arrays of a parse, or the type and message of its error."""
     try:
         mesh = load(source)
@@ -158,11 +159,11 @@ def _off_outcome(load, source):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=mutated_off())
+@given(text=mutated_text(OFF_TEXTS, ODD_TOKENS))
 def test_load_off_matches_per_line_oracle(text):
-    want = _off_outcome(oracle_load_off, text)
-    assert _off_outcome(load_off, text) == want
-    assert _off_outcome(load_off, text.encode("utf-8")) == want
+    want = _load_outcome(oracle_load_off, text)
+    assert _load_outcome(load_off, text) == want
+    assert _load_outcome(load_off, text.encode("utf-8")) == want
     if want[0] is MeshError:
         return
     assert not isinstance(want[0], type), want   # an error of another type
@@ -179,7 +180,47 @@ def test_load_off_every_single_mutation_matches_oracle():
     for i in range(len(pieces)):
         for odd in ODD_SPACES if i % 2 else ODD_TOKENS:
             text = "".join(pieces[:i] + [odd] + pieces[i + 1:])
-            assert _off_outcome(load_off, text) == _off_outcome(oracle_load_off, text)
+            assert _load_outcome(load_off, text) == _load_outcome(oracle_load_off, text)
+
+
+def _obj_text(mesh: Mesh, style: str) -> str:
+    """OBJ text of ``mesh``: 17-digit vertices, then faces as 1-based
+    indices, ``i/i/i`` or ``i//i`` sub-indices, or negative indices; the
+    ``commented`` style adds comments and skipped ``vn``/``o`` lines."""
+    lines = ["# meshlearn", "o mesh"] if style == "commented" else []
+    for v in mesh.vertices:
+        lines.append("v %.17g %.17g %.17g" % tuple(v))
+        if style == "commented":
+            lines.append("vn 0 0 1")
+    V = mesh.num_vertices
+    form = {"slashes": "{0}/{0}/{0}", "normals": "{0}//{0}"}.get(style, "{0}")
+    for f in mesh.faces:
+        idx = f - V if style == "negative" else f + 1
+        lines.append("f " + " ".join(form.format(i) for i in idx)
+                     + (" # face" if style == "commented" else ""))
+    return "\n".join(lines) + "\n"
+
+
+OBJ_TEXTS = [_obj_text(m, style) for m, style in zip(
+    OFF_SOURCES, ["plain", "slashes", "negative", "commented", "normals", "plain"])]
+ODD_OBJ_TOKENS = ODD_TOKENS + ["v", "f", "vn", "1/2/3", "-1/", "//", "/1", "-99",
+                               "2//2", "0/0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_text(OBJ_TEXTS, ODD_OBJ_TOKENS))
+def test_load_obj_matches_per_line_oracle(text):
+    want = _load_outcome(oracle_load_obj, text)
+    assert _load_outcome(load_obj, text) == want
+    assert _load_outcome(load_obj, text.encode("utf-8")) == want
+    assert want[0] is MeshError or not isinstance(want[0], type), want
+
+
+def test_obj_texts_load_their_meshes():
+    for text, mesh in zip(OBJ_TEXTS, OFF_SOURCES):
+        back = load_obj(text)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.faces, mesh.faces)
 
 
 def test_load_off_plain_texts_take_the_fast_path():
@@ -495,3 +536,39 @@ def test_euler_characteristics():
     assert euler_characteristic(icosphere(2)) == 2
     assert euler_characteristic(box(3)) == 2
     assert euler_characteristic(torus(8, 5)) == 0
+
+
+# ---------------------------------------------------------------------------
+# CSR segment sum
+
+
+def _loop_segment_sum(csr, values, out):
+    out = out.copy()
+    for j in range(len(csr)):
+        for i in csr[j]:
+            for c in range(values.shape[1]):
+                out[j, c] += values[i, c]
+    return out
+
+
+def test_csr_segment_sum_matches_scalar_loop():
+    """A ragged CSR (empty rows, one-entry rows, one long row; columns in
+    stored order, with repeats) called again and again on one instance,
+    with and without ``out=``: the sums of the scalar loop, byte for byte,
+    signed zeros included."""
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(0, 5, size=30)
+    lengths[[0, 9, 29]] = 0
+    lengths[[1, 10]] = 1
+    lengths[17] = 40
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    csr = CSR(indptr, rng.integers(0, 25, size=indptr[-1]))
+    for _ in range(4):
+        values = rng.normal(size=(25, 3)) * 10.0 ** rng.integers(-8, 9, size=(25, 3))
+        values[rng.random(values.shape) < 0.3] = -0.0
+        start = np.where(rng.random((30, 3)) < 0.5, -0.0, rng.normal(size=(30, 3)))
+        expect = _loop_segment_sum(csr, values, np.zeros((30, 3)))
+        assert csr.segment_sum(values).tobytes() == expect.tobytes()
+        out = start.copy()
+        assert csr.segment_sum(values, out=out) is out
+        assert out.tobytes() == _loop_segment_sum(csr, values, start).tobytes()

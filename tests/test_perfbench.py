@@ -1,19 +1,21 @@
 """The benchmark in ``perfbench/`` still runs against this source tree:
 every name its tracer wraps exists, a traced pooling stage reports its
-counts, and the stage passes the benchmark's own output checks."""
+counts, and the pooling stage and a training step pass the benchmark's own
+output checks."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from meshlearn import pooling
+from meshlearn import network, pooling
 from meshlearn.core import build_adjacency
 from meshlearn.data import icosphere
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import checks  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls():
@@ -39,3 +41,13 @@ def test_traced_pool_stage_counts_and_passes_checks():
     assert metrics["pooling.collapses"][0] > 0
     assert metrics["pooling.passes"][0] >= 1
     assert checks.stage_problems(mesh, adj, feats, target, pooled) == []
+
+
+def test_training_step_passes_directional_derivative_check():
+    """The first training mesh of the benchmark (posed box(6) with its
+    static inputs) under the default model: the check replays the tape and
+    reads every conv cache's ``diff`` and ``z`` as its kink arguments."""
+    config = network.ModelConfig(num_classes=3)
+    item = workloads._training_builders(0, config)[0]()
+    params = network.init_params(config, np.random.default_rng(0))
+    assert checks.directional_derivative_problems(item, params, config, 0) == []
