@@ -127,8 +127,8 @@ def cmd_pool(args) -> int:
 def _load_train_test(args, synth_kw):
     if args.synthetic:
         spec = SyntheticSpec(**synth_kw)
-        per_class_train = args.per_class_train or \
-            max(1, int(spec.samples_per_class * 2 / 3))
+        per_class_train = (args.per_class_train if args.per_class_train is not None
+                           else max(1, int(spec.samples_per_class * 2 / 3)))
         # make_splits' own check, made before any mesh is generated
         if per_class_train + 1 > spec.samples_per_class:
             raise ValueError(
@@ -140,7 +140,7 @@ def _load_train_test(args, synth_kw):
         raise MeshError("either --data or --synthetic is required")
     dataset = load_dataset(args.data)
     tagged = {s.split for s in dataset.samples}
-    if args.per_class_train:
+    if args.per_class_train is not None:
         return make_splits(dataset, args.per_class_train, seed=args.seed)
     if "train" in tagged and "test" in tagged:
         tr = [s for s in dataset.samples if s.split == "train"]
@@ -219,7 +219,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .data import SyntheticSpec, generate_synthetic
     lo, hi = max(18, int(args.faces * 0.8)), max(24, int(args.faces * 1.2))
     spec = SyntheticSpec(classes=("torus",), samples_per_class=1,
                          face_band=(lo, hi), jitter=0.02, seed=args.seed)
@@ -236,6 +235,12 @@ def cmd_gradcheck(args) -> int:
     print(f"max_error={report['max_error']:.3e} tolerance={report['tolerance']:.1e} "
           f"{'PASS' if report['passed'] else 'FAIL'}")
     return EXIT_OK if report["passed"] else EXIT_FAIL
+
+
+def positive_int(raw: str) -> int:
+    if int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
+    return int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="key=value config file")
     sp.add_argument("--data", help="dataset root directory")
     sp.add_argument("--synthetic", action="store_true")
-    sp.add_argument("--per-class-train", type=int, dest="per_class_train")
+    sp.add_argument("--per-class-train", type=positive_int, dest="per_class_train")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--threads", type=int)
     sp.add_argument("--seed", type=int, default=0)

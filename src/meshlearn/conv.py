@@ -173,7 +173,7 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     out = np.maximum(z, 0.0) if activation else z
     if return_cache:
         return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2),
-                     "s1": s1, "s2": s2, "z": z, "normalize": normalize}
+                     "s1": s1, "s2": s2, "z": z}
     return out
 
 

@@ -177,105 +177,80 @@ def _text(source) -> str:
     return data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
 
 
-def _tokenize(source) -> list[tuple[int, str]]:
-    return [(i + 1, line) for i, line in enumerate(_text(source).splitlines())]
-
-
-def _parse_plain_off(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The vertex and face arrays of a plain OFF text, or None if it is not
-    plain. Plain means: no ``#``, a lone ``OFF`` line, a counts line of three
-    tokens, then exactly V lines of 3 tokens and F lines of 4, blank lines
-    aside, every token parsing, every face of arity 3 with indices in range.
-    On such a text the per-line parser reads the same tokens through the
-    same ``str.split``, ``float`` and ``int``, so it returns these arrays."""
-    if "#" in text:
-        return None
-    rows = [r for r in map(str.split, text.splitlines()) if r]
-    if len(rows) < 2 or rows[0] != ["OFF"] or len(rows[1]) != 3:
-        return None
-    try:
-        nv, nf = int(rows[1][0]), int(rows[1][1])
-        if nv < 0 or nf < 0 or len(rows) != 2 + nv + nf:
-            return None
-        vrows, frows = rows[2:2 + nv], rows[2 + nv:]
-        if set(map(len, vrows)) - {3} or set(map(len, frows)) - {4}:
-            return None
-        verts = np.array(list(map(float, chain.from_iterable(vrows)))).reshape(nv, 3)
-        faces = np.array(list(map(int, chain.from_iterable(frows))),
-                         dtype=np.int64).reshape(nf, 4)
-    except (ValueError, OverflowError):
-        return None
-    if nf and ((faces[:, 0] != 3).any() or faces[:, 1:].min() < 0
-               or faces[:, 1:].max() >= nv):
-        return None
-    return verts, faces[:, 1:]
+def _first_cells(rows: list[list[str]], width: int):
+    """The first ``width`` tokens of every row, chained (whole rows if they fit)."""
+    if set(map(len, rows)) <= {width}:
+        return chain.from_iterable(rows)
+    return chain.from_iterable(r[:width] for r in rows)
 
 
 def load_off(source) -> Mesh:
     """Parse an ASCII OFF file with triangle faces only.
 
-    A plain file (see ``_parse_plain_off``) is read in one pass over its
-    tokens. Anything else, every malformed file included, goes through the
-    per-line parser, whose errors name the line.
+    Every valid file is read the same way: the lines are split into token
+    rows (``#`` comments cut, blank lines dropped; the counts may follow
+    ``OFF`` on the header line), and the first 3 tokens of each vertex row
+    and the first 4 of each face row (further ones, such as colours, are
+    ignored) become an array in one pass each. Only if that fails are the
+    rows scanned one by one, to raise the first bad line's error.
     """
     text = _text(source)
-    plain = _parse_plain_off(text)
-    if plain is not None:
-        return Mesh(*plain)
-    lines = [(n, ln.split("#", 1)[0].strip()) for n, ln in _tokenize(text)]
-    lines = [(n, ln) for n, ln in lines if ln]
-    if not lines:
+
+    def lines() -> list[str]:   # "#" comments cut; rebuilt to name an error
+        split = text.splitlines()
+        return [ln.split("#", 1)[0] for ln in split] if "#" in text else split
+
+    def line(i: int) -> int:    # number of the line that holds rows[i]
+        return [n for n, ln in enumerate(lines(), 1) if ln.strip()][i]
+
+    rows = [r for r in map(str.split, lines()) if r]
+
+    if not rows:
         raise MeshError("empty OFF file")
-    n0, header = lines[0]
-    rest = lines[1:]
-    if header != "OFF":
-        # counts may share the header line ("OFF 8 12 0")
-        if header.startswith("OFF"):
-            rest = [(n0, header[3:].strip())] + rest
-        else:
-            raise MeshError(f"line {n0}: missing OFF header")
-    if not rest:
+    if not rows[0][0].startswith("OFF"):
+        raise MeshError(f"line {line(0)}: missing OFF header")
+    # counts may share the header line ("OFF 8 12 0")
+    rows[0] = rows[0][0][3:].split() + rows[0][1:]
+    c = 0 if rows[0] else 1          # the counts row
+    if len(rows) == c:
         raise MeshError("missing OFF counts line")
-    n1, counts = rest[0]
-    parts = counts.split()
-    if len(parts) < 2:
-        raise MeshError(f"line {n1}: malformed counts line {counts!r}")
     try:
-        nv, nf = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MeshError(f"line {n1}: malformed counts line {counts!r}") from None
+        nv, nf = int(rows[c][0]), int(rows[c][1])
+    except (ValueError, IndexError):
+        nv = nf = -1
     if nv < 0 or nf < 0:
-        raise MeshError(f"line {n1}: malformed counts line {counts!r}")
-    body = rest[1:]
+        n = line(c)
+        counts = lines()[n - 1].strip()[3 if c == 0 else 0:].strip()   # cut "OFF"
+        raise MeshError(f"line {n}: malformed counts line {counts!r}")
+    body = rows[c + 1:]
     if len(body) < nv + nf:
         raise MeshError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        n, ln = body[i]
-        p = ln.split()
-        if len(p) < 3:
-            raise MeshError(f"line {n}: malformed vertex line")
-        try:
-            verts[i] = [float(p[0]), float(p[1]), float(p[2])]
-        except ValueError:
-            raise MeshError(f"line {n}: malformed vertex line") from None
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        n, ln = body[nv + i]
-        p = ln.split()
-        try:
-            k = int(p[0])
-        except (ValueError, IndexError):
-            raise MeshError(f"line {n}: malformed face line") from None
-        if k != 3:
-            raise MeshError(f"non-triangle face at line {n}")
-        if len(p) < 4:
-            raise MeshError(f"line {n}: malformed face line")
-        try:
-            faces[i] = [int(p[1]), int(p[2]), int(p[3])]
-        except (ValueError, OverflowError):
-            raise MeshError(f"line {n}: malformed face line") from None
-    if nf and faces.size and (faces.min() < 0 or faces.max() >= nv):
+    vrows, frows = body[:nv], body[nv:nv + nf]
+    try:
+        verts = np.array(list(map(float, _first_cells(vrows, 3)))).reshape(nv, 3)
+        faces = np.array(list(map(int, _first_cells(frows, 4))),
+                         dtype=np.int64).reshape(nf, 4)
+        ok = (faces[:, 0] == 3).all()
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        # scan for the first bad row; a face row's count comes first, then
+        # its arity, then its indices, which must fit int64
+        for i, row in enumerate(vrows + frows):
+            try:
+                if i < nv:
+                    float(row[0]), float(row[1]), float(row[2])
+                elif int(row[0]) != 3:
+                    raise MeshError(f"non-triangle face at line {line(c + 1 + i)}")
+                else:
+                    np.array([int(row[1]), int(row[2]), int(row[3])], dtype=np.int64)
+            except MeshError:    # a ValueError, but already the right one
+                raise
+            except (ValueError, IndexError, OverflowError):
+                kind = "vertex" if i < nv else "face"
+                raise MeshError(f"line {line(c + 1 + i)}: malformed {kind} line") from None
+    faces = faces[:, 1:]
+    if nf and (faces.min() < 0 or faces.max() >= nv):
         bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= nv).any(axis=1)))
         raise MeshError(f"face {bad}: vertex index out of range")
     return Mesh(verts, faces)
@@ -289,7 +264,7 @@ def load_obj(source) -> Mesh:
     """
     verts: list[list[float]] = []
     faces: list[list[int]] = []
-    for n, raw in _tokenize(source):
+    for n, raw in enumerate(_text(source).splitlines(), start=1):
         ln = raw.split("#", 1)[0].strip()
         if not ln:
             continue

@@ -147,14 +147,18 @@ def _predict(item, params, config):
     return int(np.argmax(logits) == label)
 
 
+def _map(fn, items, threads: int) -> list:
+    """``fn`` of each item, in order (``ex.map`` keeps it), on ``threads`` threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, items))
+    return list(map(fn, items))
+
+
 def evaluate(prepared, params, config, threads: int = 1):
     if not prepared:
         raise ValueError("empty evaluation split")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            hits = list(ex.map(lambda it: _predict(it, params, config), prepared))
-    else:
-        hits = [_predict(it, params, config) for it in prepared]
+    hits = _map(lambda it: _predict(it, params, config), prepared, threads)
     return float(np.mean(hits))
 
 
@@ -187,12 +191,8 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
         losses, hits, stalls = [], [], 0
         for start in range(0, len(order), train_config.batch_size):
             batch = [tr[i] for i in order[start:start + train_config.batch_size]]
-            if train_config.threads > 1:
-                with ThreadPoolExecutor(max_workers=train_config.threads) as ex:
-                    results = list(ex.map(
-                        lambda it: _forward_backward(it, params, model_config), batch))
-            else:
-                results = [_forward_backward(it, params, model_config) for it in batch]
+            results = _map(lambda it: _forward_backward(it, params, model_config),
+                           batch, train_config.threads)
             acc_grads = net.zeros_like_params(params)
             for loss, hit, grads, stalled in results:  # fixed reduction order
                 net.add_params(acc_grads, grads, scale=1.0 / len(batch))

@@ -246,6 +246,20 @@ def test_train_per_class_train_checked_before_data(tmp_path, capsys, monkeypatch
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_train_per_class_train_below_one_exit_2(tmp_path, capsys, monkeypatch, value):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the argument was checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_data)
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert run(["train", "--synthetic", "--config", cfg, "--per-class-train", value,
+                "--out", out]) == 2
+    assert f"--per-class-train: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_train_synthetic_writes_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "run")

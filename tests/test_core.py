@@ -12,7 +12,7 @@ from meshlearn.core import (CSR, NONE, Mesh, MeshError, build_adjacency,
                             compute_geometry, degeneracy_threshold,
                             edge_lengths_sq, euler_characteristic, face_areas,
                             load_mesh, load_obj, load_off, normalize_mesh,
-                            save_off, validate_mesh, _parse_plain_off)
+                            save_off, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 
 from conftest import (closed_corpus, jitter_mesh, rigid_transform,
@@ -223,13 +223,45 @@ def test_obj_texts_load_their_meshes():
         assert np.array_equal(back.faces, mesh.faces)
 
 
-def test_load_off_plain_texts_take_the_fast_path():
-    for text in OFF_TEXTS:
-        for variant in (text, text.replace("\n", "\r\n"),
-                        text.replace(" ", "\t") + "\n\n"):
-            assert _parse_plain_off(variant) is not None
-        assert _parse_plain_off(text + "# note\n") is None
-        assert _parse_plain_off(text.replace("OFF\n", "OFF ", 1)) is None
+def _with_colours(text: str) -> str:
+    """``text`` with three colour tokens after every vertex row."""
+    lines = text.splitlines(keepends=True)
+    nv = int(lines[1].split()[0])
+    for i in range(2, 2 + nv):
+        lines[i] = lines[i].rstrip("\n") + " 0.5 0.25 1\n"
+    return "".join(lines)
+
+
+def test_load_off_variants_match_oracle():
+    # every variant is valid and goes through the one bulk conversion
+    for text, mesh in zip(OFF_TEXTS, OFF_SOURCES):
+        for variant in (text.replace("\n", "\r\n"),
+                        text.replace(" ", "\t") + "\n\n",
+                        text + "# note\n",
+                        text.replace("OFF\n", "OFF ", 1),
+                        _with_colours(text)):
+            want = oracle_load_off(variant)
+            assert np.array_equal(want.vertices, mesh.vertices)
+            assert np.array_equal(want.faces, mesh.faces)
+            assert _load_outcome(load_off, variant) == _load_outcome(
+                oracle_load_off, variant)
+
+
+@pytest.mark.parametrize("row", ["vertex", "face"])
+def test_load_off_large_file_error_names_the_line(row):
+    # one bad token on the last vertex line, or on the last face line
+    mesh = icosphere(4)
+    buf = io.StringIO()
+    save_off(mesh, buf)
+    lines = buf.getvalue().splitlines()
+    n = 2 + mesh.num_vertices if row == "vertex" else len(lines)
+    lines[n - 1] = lines[n - 1].rsplit(" ", 1)[0] + " x"
+    text = "\n".join(lines) + "\n"
+    message = f"line {n}: malformed {row} line"
+    for load in (oracle_load_off, load_off):
+        with pytest.raises(MeshError) as err:
+            load(text)
+        assert str(err.value) == message
 
 
 @settings(max_examples=60, deadline=None)
