@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -102,11 +103,15 @@ def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
         # an undecodable name cannot match a needed one; see the check below
         name = bytes(take(name_len)).decode(errors="replace")
         code, ndim = struct.unpack("<BB", take(2))
-        dims = struct.unpack("<%dQ" % ndim, take(8 * ndim)) if ndim else ()
+        dims = struct.unpack("<%dQ" % ndim, take(8 * ndim))
         if code not in _DTYPES:
             raise CheckpointError(f"unknown dtype code {code} for array {name!r}")
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(take(8 * n), dtype=_DTYPES[code]).reshape(dims)
+        # the element count in Python ints, checked against the bytes left
+        raw = take(8 * math.prod(dims))
+        try:
+            arr = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(dims)
+        except ValueError:   # no elements, but a dim beyond NumPy's limit
+            raise CheckpointError(f"array {name!r} has unsupported dims {list(dims)}") from None
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="))
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after the last array")

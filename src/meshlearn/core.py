@@ -107,7 +107,9 @@ class CSR:
         """CSR of the (row, col) pairs, each row's cols ascending."""
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-        return cls(indptr, cols[np.lexsort((cols, rows))])
+        # one sort by row, then col; equal keys carry equal cols
+        width = int(cols.max(initial=0)) + 1
+        return cls(indptr, np.sort(rows * width + cols) % width)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -250,7 +252,9 @@ def load_off(source) -> Mesh:
                 kind = "vertex" if i < nv else "face"
                 raise MeshError(f"line {line(c + 1 + i)}: malformed {kind} line") from None
     faces = faces[:, 1:]
-    if nf and (faces.min() < 0 or faces.max() >= nv):
+    if not nf:
+        raise MeshError("mesh has no faces")
+    if faces.min() < 0 or faces.max() >= nv:
         bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= nv).any(axis=1)))
         raise MeshError(f"face {bad}: vertex index out of range")
     return Mesh(verts, faces)
@@ -290,6 +294,8 @@ def load_obj(source) -> Mesh:
             if any(i < 0 or i >= len(verts) for i in idx):
                 raise MeshError(f"line {n}: vertex index out of range")
             faces.append(idx)
+    if not faces:
+        raise MeshError("mesh has no faces")
     return Mesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
                 np.array(faces, dtype=np.int64).reshape(-1, 3))
 
@@ -312,10 +318,12 @@ def load_mesh(source, fmt: str | None = None) -> Mesh:
         elif name is not None and name.lower().endswith(".off"):
             fmt = "OFF"
         else:
-            head = data[:16] if isinstance(data, (bytes, str)) else b""
-            if isinstance(head, bytes):
-                head = head.decode("utf-8", errors="replace")
-            fmt = "OFF" if head.lstrip().startswith("OFF") else "OBJ"
+            # OFF when the first line that is not blank or a "#" comment
+            # starts with OFF, as load_off reads it
+            data = _text(data)
+            first = next(filter(None, (ln.split("#", 1)[0].strip()
+                                       for ln in data.splitlines())), "")
+            fmt = "OFF" if first.startswith("OFF") else "OBJ"
     fmt = fmt.upper()
     if fmt == "OFF":
         mesh = load_off(data)
@@ -438,8 +446,7 @@ def build_adjacency(mesh: Mesh) -> AdjacencyMatrix:
     Raises on non-manifold edges (3+ incident faces).
     """
     F, V = mesh.num_faces, mesh.num_vertices
-    edges = np.sort(np.stack([mesh.faces, np.roll(mesh.faces, -1, axis=1)],
-                             axis=2), axis=2)
+    edges = np.sort(_directed_edges(mesh.faces).reshape(F, 3, 2), axis=2)
     key = (edges[..., 0] * V + edges[..., 1]).ravel()
     # half-edge 3f+s is slot s of face f; a stable sort keeps the
     # half-edges of one edge in face order

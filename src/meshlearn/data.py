@@ -282,8 +282,10 @@ class SyntheticSpec:
         lo, hi = self.face_band
         if lo > hi:
             raise ValueError("face band lower bound exceeds upper bound")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0):
+            raise ValueError("jitter must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.samples_per_class < 1:
             raise ValueError("samples per class must be >= 1")
         for c in self.classes:

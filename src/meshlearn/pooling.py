@@ -159,25 +159,17 @@ def _face_components(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     return comp, sizes
 
 
-def _vertex_to_faces(mesh: Mesh) -> list[list[int]]:
-    """Incident faces per vertex, in ascending face order."""
-    flat = mesh.faces.ravel()
-    faces_of = (np.argsort(flat, kind="stable") // 3).tolist()
-    ends = np.cumsum(np.bincount(flat, minlength=mesh.num_vertices)).tolist()
-    return [faces_of[a:b] for a, b in zip([0] + ends, ends)]
-
-
 class _PassState:
     """Incrementally maintained simulation of one pooling pass.
 
     Tracks, for the hypothetical mesh obtained by applying every accepted
-    collapse simultaneously: which input faces are still present, their
-    current (partially merged) vertex triples and per-vertex face counts.
-
-    A collapse merges the center vertices into a fresh token t (vertex ids
-    from V upwards), deletes ``removed`` and rewrites each ring triple.
-    Whether the edges stay 2-manifold and consistently oriented is decided
-    by the ring's new triples alone:
+    collapse simultaneously: which input faces are still present, ``rep``,
+    the current id of each input vertex, and the face count of each
+    current vertex. A collapse deletes ``removed`` and merges the center
+    vertices into a fresh token t (vertex ids from V upwards), which
+    becomes their ``rep``; no face is rewritten. Whether the edges stay
+    2-manifold and consistently oriented is decided by the ring faces' new
+    half-edges alone:
 
     - old edges always pass: every old edge at a center vertex lies only
       in faces of removed + ring, so it disappears with them;
@@ -185,10 +177,11 @@ class _PassState:
       vertices is the same edge before and after;
     - only new edges matter: each touches t, which no earlier face holds.
 
-    Read each new triple as an outgoing half-edge (t, next) and an
-    incoming (prev, t). Every edge (t, x) then has one face on each side
-    exactly when the outgoing ends are distinct, the incoming ends are
-    distinct, and the two sets are equal.
+    A ring face holds one center vertex (never merged, or the face could
+    not be tried), followed by ``next`` and ``prev``, and gives the
+    half-edges (t, rep[next]) and (rep[prev], t). Every edge (t, x) then
+    has one face on each side exactly when the outgoing ends are distinct,
+    the incoming ends are distinct, and the two sets are equal.
 
     ``settled`` marks the faces that can never collapse in this pass: from
     the start those with a border slot or a repeated neighbor, and from
@@ -202,8 +195,9 @@ class _PassState:
     of them.
 
     Everything is held in flat Python lists, which index far faster one
-    element at a time than NumPy rows: ``faces`` and ``neighbors`` are the
-    input tables as lists, ``post`` the current triple per face.
+    element at a time than NumPy rows. Built once per pass: ``faces`` and
+    ``neighbors``, the input tables, and ``corners[v]``, which lists ``h,
+    next, prev`` for each face h at vertex v in ascending face order.
     """
 
     def __init__(self, mesh: Mesh, adj: AdjacencyMatrix):
@@ -211,7 +205,11 @@ class _PassState:
         nb = adj.neighbors
         self.faces = mesh.faces.tolist()
         self.neighbors = nb.tolist()
-        self.v2f = _vertex_to_faces(mesh)
+        corners = self.corners = [[] for _ in range(V)]
+        for h, (a, b, c) in enumerate(self.faces):
+            corners[a] += h, b, c
+            corners[b] += h, c, a
+            corners[c] += h, a, b
         comp, comp_sizes = _face_components(adj)
         self.comp = comp.tolist()
         self.comp_left = comp_sizes.tolist()
@@ -219,80 +217,66 @@ class _PassState:
         self.settled = ((nb == NONE).any(axis=1) | (nb[:, 0] == nb[:, 1])
                         | (nb[:, 1] == nb[:, 2]) | (nb[:, 2] == nb[:, 0])).tolist()
         self.watch: dict[int, list[int]] = {}   # vertex -> deferred faces
-        self.post = list(self.faces)
+        self.rep = list(range(V))
         self.next_token = V
         self.vcount = np.bincount(mesh.faces.ravel(), minlength=V + F).tolist()
 
     def try_candidate(self, f: int):
         """Return the collapse of the alive, unsettled face f as (removed,
-        ring, new_tris, center_verts) if it is compatible with everything
-        accepted so far, or None if the simulation rejects it for now."""
-        nbs = set(self.neighbors[f])
-        nbs.add(f)
-        cvs = set(self.faces[f])
-        removed = sorted(nbs)
-        alive, v2f = self.alive, self.v2f
-        ring = sorted({h for v in cvs for h in v2f[v] if alive[h]} - nbs)
-        token, post = self.next_token, self.post
-
-        new_tris = {}
-        outs, ins = [], []      # ends of the half-edges (t, next), (prev, t)
-        for h in ring:
-            nt = tuple(token if v in cvs else v for v in post[h])
-            if len(set(nt)) < 3:
-                return None  # face would degenerate under the merge
-            i = nt.index(token)
-            outs.append(nt[i - 2])
-            ins.append(nt[i - 1])
-            new_tris[h] = nt
-        # ins is as long as outs, so equal sets also make ins distinct
-        ends = set(outs)
-        if len(ends) < len(outs) or set(ins) != ends:
+        ring, lost, center_verts) if it is compatible with everything
+        accepted so far, or None if the simulation rejects it for now.
+        ``lost`` holds the current vertex opposite f in each neighbor."""
+        nbs = self.neighbors[f]
+        cvs = self.faces[f]
+        alive, rep, corners = self.alive, self.rep, self.corners
+        ring = []
+        succ = {}       # out end -> in end of each ring face's (t, o), (q, t)
+        for c in cvs:
+            row = iter(corners[c])
+            for h, o, q in zip(row, row, row):
+                if alive[h] and h != f and h not in nbs:
+                    o, q = rep[o], rep[q]
+                    if o == q or o in cvs or q in cvs:
+                        return None  # face would degenerate under the merge
+                    ring.append(h)
+                    succ[o] = q
+        # one key per ring face: equal sets also make the in ends distinct
+        if len(succ) < len(ring) or set(succ.values()) != succ.keys():
             return None  # an edge at the merge point not 2-manifold or oriented
-        # every new triple holds the fresh token, so it can only duplicate
-        # another new triple, never a face present before
-        if len({frozenset(nt) for nt in new_tris.values()}) < len(new_tris):
+        # every new face holds the fresh token, so it can only duplicate
+        # another new face, (t, q, o) against (t, o, q), never an old one
+        if any(succ[q] == o for o, q in succ.items()):
             return None  # duplicate face after the merge
         # no surviving vertex may lose its last face
-        lost: dict[int, int] = {}
-        for h in removed:
-            for v in post[h]:
-                if v not in cvs:
-                    lost[v] = lost.get(v, 0) + 1
-        vcount = self.vcount
-        for v, n in lost.items():
-            if vcount[v] - n <= 0:
-                return None
-        return removed, ring, new_tris, sorted(cvs)
+        lost = [rep[v] for h in nbs for v in self.faces[h] if v not in cvs]
+        if any(self.vcount[v] <= lost.count(v) for v in lost):
+            return None
+        return sorted([f, *nbs]), ring, lost, sorted(cvs)
 
     def defer(self, f: int) -> None:
         """Watch a face the simulation rejected for now: put it on the list
         of every vertex of its one-ring faces in the input mesh."""
-        faces, v2f, watch = self.faces, self.v2f, self.watch
-        for v in {v for u in faces[f] for z in v2f[u] for v in faces[z]}:
+        faces, corners, watch = self.faces, self.corners, self.watch
+        for v in {v for u in faces[f] for z in corners[u][::3] for v in faces[z]}:
             watch.setdefault(v, []).append(f)
 
     def commit(self, f: int, candidate) -> list[int]:
         """Apply an accepted ``try_candidate`` result to the simulation and
         return the deferred faces it wakes (possibly repeated, dead,
         settled or already woken: callers filter)."""
-        removed, ring, new_tris, cvs = candidate
-        post, vcount = self.post, self.vcount
+        removed, ring, lost, cvs = candidate
+        vcount, rep, token = self.vcount, self.rep, self.next_token
         alive, settled, neighbors = self.alive, self.settled, self.neighbors
+        for v in lost:
+            vcount[v] -= 1
+        vcount[token] = len(ring)
         for h in removed:
-            for v in post[h]:
-                vcount[v] -= 1
             alive[h] = False
             for w in neighbors[h]:
                 settled[w] = True
-        for h in ring:
-            for v in post[h]:
-                vcount[v] -= 1
-            post[h] = new_tris[h]
-            for v in post[h]:
-                vcount[v] += 1
-        for v in cvs:
-            for w in self.v2f[v]:
+        for c in cvs:
+            rep[c] = token
+            for w in self.corners[c][::3]:
                 settled[w] = True
         self.next_token += 1
         self.comp_left[self.comp[f]] -= 4
@@ -369,11 +353,11 @@ def _finalize_plan(mesh: Mesh, regions: list[PoolRegion]) -> PoolPlan:
     removed = np.array([r.removed for r in regions], dtype=np.int64).reshape(-1, 4)
     old_vertices = np.array([r.old_vertices for r in regions],
                             dtype=np.int64).reshape(-1, 3)
-    survivors = np.setdiff1d(np.arange(F), removed)
+    survivors = np.flatnonzero(np.bincount(removed.ravel(), minlength=F) == 0)
     face_remap = np.full(F, -1, dtype=np.int64)
     face_remap[survivors] = np.arange(len(survivors))
 
-    kept = np.setdiff1d(np.arange(V), old_vertices)
+    kept = np.flatnonzero(np.bincount(old_vertices.ravel(), minlength=V) == 0)
     n_survive = len(kept)
     vertex_remap = np.full(V, -1, dtype=np.int64)
     vertex_remap[kept] = np.arange(n_survive)

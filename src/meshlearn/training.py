@@ -31,8 +31,10 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name.replace('_', ' ')} must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:

@@ -82,6 +82,8 @@ def oracle_load_off(text: str) -> Mesh:
     if nf and faces.size and (faces.min() < 0 or faces.max() >= nv):
         bad = int(np.argmax((faces < 0).any(axis=1) | (faces >= nv).any(axis=1)))
         raise MeshError(f"face {bad}: vertex index out of range")
+    if nf == 0:
+        raise MeshError("mesh has no faces")
     return Mesh(verts, faces)
 
 
@@ -128,6 +130,8 @@ def oracle_load_obj(text: str) -> Mesh:
             if any(i < 0 or i >= len(verts) for i in idx):
                 raise MeshError(f"line {n}: vertex index out of range")
             faces.append(idx)
+    if not faces:
+        raise MeshError("mesh has no faces")
     return Mesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
                 np.array(faces, dtype=np.int64).reshape(-1, 3))
 

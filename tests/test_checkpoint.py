@@ -89,7 +89,17 @@ DEFECTS = {
     "unknown_head": "unknown head 'foo'",
     "unknown_abs_mode": "unknown abs_mode 'foo'",
     "region_size_below_3": r"region_sizes \S.* has an entry below 3",
+    # u64 dims whose product overflows int64, wraps it to 0, or has no
+    # elements but a dim beyond NumPy's limit
+    "dims_beyond_int64": "truncated checkpoint file",
+    "dims_product_wraps": "truncated checkpoint file",
+    "dims_zero_and_huge": r"array 'descriptor.geo' has unsupported dims \[0, 18446744073709551615\]",
 }
+
+# the first array's two u64 dims, for each dims defect
+HUGE_DIMS = {"dims_beyond_int64": (2**64 - 1, 2**64 - 1),
+             "dims_product_wraps": (2**32, 2**32),
+             "dims_zero_and_huge": (0, 2**64 - 1)}
 
 
 def write_malformed(path, defect):
@@ -120,6 +130,10 @@ def write_malformed(path, defect):
         cfg["region_sizes"][0] = 2
     elif defect == "non_utf8_name":
         rest[6] = 0xFF             # the first byte of the first array's name
+    elif defect in HUGE_DIMS:
+        (name_len,) = struct.unpack_from("<H", rest, 4)
+        assert rest[7 + name_len] == 2    # the first array's ndim
+        struct.pack_into("<2Q", rest, 8 + name_len, *HUGE_DIMS[defect])
     blob = json.dumps(cfg, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(bytes(data[:8]) + struct.pack("<Q", len(blob)) + blob + bytes(rest))

@@ -63,6 +63,19 @@ def test_info_non_finite_coordinate_exit_2(tmp_path, capsys):
     assert "manifold=" not in captured.out
 
 
+def test_info_and_pool_text_without_mesh_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "notes.txt")
+    with open(path, "w") as fh:
+        fh.write("hello world\n")
+    assert run(["info", path]) == 2
+    captured = capsys.readouterr()
+    assert "mesh has no faces" in captured.err and "V=" not in captured.out
+    out = str(tmp_path / "out.off")
+    assert run(["pool", path, "--target", "4", "-o", out]) == 2
+    assert "mesh has no faces" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("body, message", [
     ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
      "line 6: malformed face line"),
@@ -217,9 +230,24 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("synthetic.samples_per_class = 0", "samples per class must be >= 1"),
     ("synthetic.samples_per_class = 1", "1 train per class needs at least 2"),
     ("synthetic.face_band = 140 80", "face band lower bound exceeds upper bound"),
+    ("train.learning_rate = nan", "learning rate must be finite and >= 0"),
+    ("train.learning_rate = inf", "learning rate must be finite and >= 0"),
+    ("train.learning_rate = 1e999", "learning rate must be finite and >= 0"),
+    ("train.momentum = nan", "momentum must be finite and >= 0"),
+    ("train.momentum = 1e999", "momentum must be finite and >= 0"),
+    ("train.momentum = -0.5", "momentum must be finite and >= 0"),
+    ("train.weight_decay = inf", "weight decay must be finite and >= 0"),
+    ("train.weight_decay = nan", "weight decay must be finite and >= 0"),
+    ("train.weight_decay = -1e-4", "weight decay must be finite and >= 0"),
+    ("synthetic.jitter = nan", "jitter must be finite and >= 0"),
+    ("synthetic.jitter = 1e999", "jitter must be finite and >= 0"),
+    ("synthetic.seed = -1", "seed must be >= 0"),
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size", "epochs_zero",
         "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
-        "no_test_sample", "face_band"])
+        "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
+        "learning_rate_1e999", "momentum_nan", "momentum_1e999", "momentum_negative",
+        "weight_decay_inf", "weight_decay_nan", "weight_decay_negative", "jitter_nan",
+        "jitter_1e999", "synthetic_seed_negative"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):
@@ -356,6 +384,7 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys, defect):
     assert run(["eval", ckpt_path, "--data", root]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(DEFECTS[defect], err)
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,25 @@ def test_load_mesh_format_sniffing():
     assert load_mesh(off.encode()).num_faces == 1
 
 
+def test_load_mesh_sniff_skips_comments_and_blank_lines():
+    off = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+    obj = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+    for head in ("# made by hand\n", "\n  \n# one\n  # two\n\n"):
+        assert load_mesh(head + off).num_faces == 1
+        assert load_mesh((head + off).encode()).num_faces == 1
+        assert load_mesh((head + obj).encode()).num_faces == 1
+
+
+@pytest.mark.parametrize("text", [b"hello world\n", b"", b"# notes\n\n",
+                                  b"v 0 0 0\nv 1 0 0\nv 0 1 0\n",
+                                  b"OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", b"OFF 0 0 0\n"],
+                         ids=["prose", "empty", "comment", "obj_vertices", "off_vertices",
+                              "off_counts"])
+def test_load_mesh_without_faces_rejected(text):
+    with pytest.raises(MeshError, match="mesh has no faces"):
+        load_mesh(text)
+
+
 def test_save_off_round_trip_bit_exact(rng):
     mesh = jitter_mesh(icosahedron(), rng)
     buf = io.StringIO()
@@ -581,6 +600,26 @@ def _loop_segment_sum(csr, values, out):
             for c in range(values.shape[1]):
                 out[j, c] += values[i, c]
     return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_csr_from_pairs_matches_lexsort(n):
+    """The single key sort gives the rows and columns of a two-key lexsort:
+    unsorted pairs, each repeated up to three times, with empty rows at
+    both ends and inside."""
+    rng = np.random.default_rng(n)
+    rows = rng.integers(1, 19, size=n)
+    rows[rows == 7] = 8
+    cols = rng.integers(0, 40, size=n)
+    rep = rng.integers(1, 4, size=n)
+    rows, cols = np.repeat(rows, rep), np.repeat(cols, rep)
+    order = rng.permutation(len(rows))
+    rows, cols = rows[order], cols[order]
+    csr = CSR.from_pairs(rows, cols, 20)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=20))])
+    assert csr.indptr.tolist() == indptr.tolist()
+    assert csr.indices.tolist() == cols[np.lexsort((cols, rows))].tolist()
+    assert csr.indices.dtype == np.int64
 
 
 def test_csr_segment_sum_matches_scalar_loop():

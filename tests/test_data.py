@@ -54,6 +54,20 @@ def test_load_dataset_skips_corrupt_file(tmp_path, caplog):
     assert any("bad.off" in r.getMessage() for r in caplog.records)
 
 
+def test_load_dataset_counts_faceless_mesh(tmp_path, caplog):
+    root = str(tmp_path)
+    for i in range(3):
+        _write(root, "c", "train", f"m{i}.off", tetrahedron())
+    with open(os.path.join(root, "c", "train", "empty.obj"), "w") as fh:
+        fh.write("# exported without faces\nv 0 0 0\nv 1 0 0\n")
+    with caplog.at_level("WARNING"):
+        ds = load_dataset(root)
+    assert len(ds.samples) == 3
+    assert ds.load_errors == 1
+    assert any("empty.obj" in r.getMessage() and "no faces" in r.getMessage()
+               for r in caplog.records)
+
+
 # ---------------------------------------------------------------------------
 # splits
 

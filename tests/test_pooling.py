@@ -162,6 +162,55 @@ def test_plan_matches_oracle_tied_weights_property(data):
         == [(c, rm, cv) for c, rm, cv in oracle]
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plan_matches_oracle_tied_weights_later_passes_property(data):
+    # passes 2 and 3 run on pooled meshes, where earlier merges have moved
+    # the ends of the ring faces' half-edges to merge points
+    mesh = data.draw(st.sampled_from(PROPERTY_MESHES))
+    target = data.draw(st.integers(4, mesh.num_faces // 3))
+    for _ in range(3):
+        F = mesh.num_faces
+        if F <= target:
+            break
+        weights = np.array(data.draw(st.lists(st.integers(0, 2), min_size=F,
+                                              max_size=F)), dtype=float)
+        plan = plan_pass(mesh, build_adjacency(mesh), weights, target)
+        assert _regions(plan) == oracle_plan_pass(mesh, weights, target)
+        if not plan.regions:
+            break
+        mesh = apply_pass(mesh, np.zeros((F, 1)), plan).mesh
+
+
+def _recount_after_every_commit(monkeypatch) -> list[int]:
+    """After each commit, check the simulation's face count of every
+    current vertex against a recount of the alive faces read through
+    ``rep``; returns a list that grows by one per checked commit."""
+    checked = []
+    commit = pooling._PassState.commit
+
+    def checking(self, f, candidate):
+        woken = commit(self, f, candidate)
+        count = Counter(self.rep[v] for h, face in enumerate(self.faces)
+                        if self.alive[h] for v in face)
+        assert all(self.vcount[v] == count[v] for v in set(self.rep))
+        assert set(count) <= set(self.rep)
+        checked.append(f)
+        return woken
+
+    monkeypatch.setattr(pooling._PassState, "commit", checking)
+    return checked
+
+
+@pytest.mark.parametrize("mesh", PROPERTY_MESHES + [icosphere(2)])
+def test_vertex_counts_match_recount_after_every_commit(monkeypatch, mesh):
+    checked = _recount_after_every_commit(monkeypatch)
+    adj, feats = _desc_features(mesh)
+    out = pool_to_target(mesh, adj, feats, max(4, mesh.num_faces // 4))
+    assert len(checked) == sum(rec.old_num_faces - len(rec.provenance)
+                               for rec in out.passes) // 4
+
+
 def test_plan_retry_heap_accepts_out_of_order(monkeypatch):
     # box(1) after a few edge flips: the low-valence vertices make face 2
     # fail at first and pass once the collapse around face 6 has been
