@@ -486,13 +486,14 @@ def compute_geometry(mesh: Mesh) -> GeometryCache:
 
     Vertex normal = normalized unweighted mean of incident face normals;
     a zero-norm mean falls back to the first incident face normal.
-    Raises on zero-area faces.
+    Raises on zero-area faces. Each vertex's normal sum adds its faces'
+    normals in slot-major input order: every face's slot 0, then slot 1,
+    then slot 2.
     """
     v, f = mesh.vertices, mesh.faces
-    centroids = v[f].mean(axis=1)
-    a = v[f[:, 1]] - v[f[:, 0]]
-    b = v[f[:, 2]] - v[f[:, 0]]
-    cross = np.cross(a, b)
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    centroids = (p0 + p1 + p2) / 3
+    cross = np.cross(p1 - p0, p2 - p0)
     norms = np.linalg.norm(cross, axis=1)
     areas = 0.5 * norms
     eps = degeneracy_threshold(mesh)
@@ -502,10 +503,10 @@ def compute_geometry(mesh: Mesh) -> GeometryCache:
     normals = cross / norms[:, None]
 
     V, F = mesh.num_vertices, mesh.num_faces
-    vsum = np.zeros((V, 3))
-    # slot-major order: every face's slot 0, then slot 1, then slot 2
-    np.add.at(vsum, f.T.ravel(), np.tile(normals, (3, 1)))
-    vcount = np.bincount(f.ravel(), minlength=V)
+    slots = f.T.ravel()
+    vsum = np.stack([np.bincount(slots, np.tile(normals[:, k], 3), minlength=V)
+                     for k in range(3)], axis=1)
+    vcount = np.bincount(slots, minlength=V)
     used = vcount > 0
     vnormals = np.zeros_like(vsum)
     vnormals[used] = vsum[used] / vcount[used, None]

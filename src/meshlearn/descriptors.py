@@ -17,6 +17,14 @@ Each kernel is a small weight vector combining fixed geometric terms:
 Missing neighbors on borders contribute zero vectors. The first geodesic
 term is identically zero for the arithmetic centroid; it is kept so the
 kernel layout stays a plain (a0, a1, a2) triple.
+
+Every stage works on whole (F, 3, 3) arrays, in a fixed order of
+evaluation: each sum over a face's three vertex or neighbor slots adds
+them left to right, and each kernel adds its weighted terms onto zeros in
+term order. That order is the one ``sum(axis=1)`` and
+``einsum("jt,ftc->fjc")`` use, so the features are bit-identical to those
+reductions (``tests/oracles.py`` checks it) and so are the bench checksum
+and the trained checkpoints.
 """
 
 from __future__ import annotations
@@ -73,6 +81,12 @@ def init_descriptor_params(k_geo: int, k_geom: int, rng: np.random.Generator) ->
     )
 
 
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` over three slots, added left to right as that sum
+    adds them (bit-equal), without the reduction's overhead."""
+    return (x[:, 0] + x[:, 1]) + x[:, 2]
+
+
 @dataclass
 class GeodesicTerms:
     """Per-face, per-vertex-slot raw terms of the geodesic descriptor."""
@@ -83,41 +97,43 @@ class GeodesicTerms:
 
     @property
     def slot_sums(self) -> np.ndarray:
-        """(F, 3 terms, 3): each term summed over the vertex slots."""
-        return np.stack([self.pos_dev.sum(axis=1),
-                         self.vnormal.sum(axis=1),
-                         self.edge_pair_diff.sum(axis=1)], axis=1)
+        """(F, 3 terms, 3): each term summed over the vertex slots, left to
+        right, as ``sum(axis=1)`` adds them."""
+        return np.stack([_slot_sum(x) for x in
+                         (self.pos_dev, self.vnormal, self.edge_pair_diff)], axis=1)
 
 
 def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
                            abs_mode: str = "componentwise") -> GeodesicTerms:
     """Raw geodesic terms; pure geometry, no learnable weights involved."""
     v, f = mesh.vertices, mesh.faces
-    F = mesh.num_faces
-    pos_dev = v[f] - geo.face_centroids[:, None, :]
+    vf = v[f]
+    pos_dev = vf - geo.face_centroids[:, None, :]
     vnormal = geo.vertex_normals[f]
 
-    # vector from each face vertex along the free edge of the neighbor
-    # triangle across each incident edge of the face
-    nb = adj.neighbors                       # (F, 3)
-    se = adj.shared_edges                    # (F, 3, 2)
-    safe_nb = np.where(nb == NONE, 0, nb)
-    # free vertex of each neighbor: the one not on the shared edge
-    opp = f[safe_nb].sum(axis=2) - se.sum(axis=2)          # (F, 3)
-    evec = np.zeros((F, 3, 2, 3))  # [face, vertex slot, incident edge j, xyz]
-    for i in range(3):
-        vi = f[:, i]                                       # (F,)
-        on_edge = (se[:, :, 0] == vi[:, None]) | (se[:, :, 1] == vi[:, None])
-        # exactly two of the three slots touch vertex i; order j by slot order
-        slot_idx = np.argsort(~on_edge, axis=1, kind="stable")[:, :2]  # (F, 2)
-        rows = np.arange(F)[:, None]
-        chosen_nb = nb[rows, slot_idx]
-        # opp is meaningless where the neighbor is NONE; clamp before indexing
-        chosen_opp = np.clip(opp[rows, slot_idx], 0, mesh.num_vertices - 1)
-        vecs = v[chosen_opp] - v[vi][:, None, :]
-        vecs[chosen_nb == NONE] = 0.0
-        evec[:, i] = vecs
-    edge_pair_diff = _abs_terms(evec[:, :, 0, :] - evec[:, :, 1, :], abs_mode)
+    # vertex ids are added exactly: with fs a face's id sum and es a
+    # shared edge's, fs[nb] - es is the neighbor's free vertex and
+    # fs - es the own vertex opposite the slot
+    nb = adj.neighbors
+    es = adj.shared_edges[:, :, 0] + adj.shared_edges[:, :, 1]
+    fs = f[:, 0] + f[:, 1] + f[:, 2]
+    border = nb == NONE
+    free = np.where(border, 0, fs[nb] - es)
+    own = fs[:, None] - es
+    # opp[:, s] is the vertex slot opposite adjacency slot s; vertex slot
+    # i lies on the two other adjacency slots, taken in slot order
+    opp = (own == f[:, 1:2]) + 2 * (own == f[:, 2:3])
+    i = np.arange(3)
+    first = (opp[:, :1] == i).astype(np.int64)
+    second = 2 - (opp[:, 2:] == i)
+
+    def toward(slot):
+        """From each vertex to the free vertex across the chosen slot."""
+        e = v[np.take_along_axis(free, slot, axis=1)] - vf
+        e[np.take_along_axis(border, slot, axis=1)] = 0.0
+        return e
+
+    edge_pair_diff = _abs_terms(toward(first) - toward(second), abs_mode)
     return GeodesicTerms(pos_dev, vnormal, edge_pair_diff)
 
 
@@ -134,19 +150,29 @@ def compute_geometric_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache
                       geo.face_normals[safe_nb])
     ncross = np.where(missing, 0.0, _abs_terms(ncross, abs_mode))
     return np.stack([geo.face_centroids, geo.face_normals,
-                     cdiff.sum(axis=1), ncross.sum(axis=1)], axis=1)
+                     _slot_sum(cdiff), _slot_sum(ncross)], axis=1)
+
+
+def _kernel_forward(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """(F, 3*J) block of J kernels over (F, T, 3) terms: ``w[j, t] *
+    terms[:, t]`` added onto zeros in term order, the order in which
+    ``einsum("jt,ftc->fjc")`` evaluates it."""
+    slabs = np.ascontiguousarray(terms.transpose(1, 0, 2))   # (T, F, 3)
+    out = np.zeros((w.shape[0],) + slabs.shape[1:])
+    for t, slab in enumerate(slabs):
+        for j, o in enumerate(out):
+            o += w[j, t] * slab
+    return out.transpose(1, 0, 2).reshape(len(terms), -1)
 
 
 def geodesic_forward(terms: GeodesicTerms, params: DescriptorParams) -> np.ndarray:
     """(F, 3*k_geo) geodesic feature block; kernels laid out contiguously."""
-    out = np.einsum("jt,ftc->fjc", params.geo, terms.slot_sums)
-    return out.reshape(out.shape[0], -1)
+    return _kernel_forward(params.geo, terms.slot_sums)
 
 
 def geometric_forward(terms: np.ndarray, params: DescriptorParams) -> np.ndarray:
     """(F, 3*k_geom) geometric feature block from ``compute_geometric_terms``."""
-    out = np.einsum("jt,ftc->fjc", params.geom, terms)
-    return out.reshape(out.shape[0], -1)
+    return _kernel_forward(params.geom, terms)
 
 
 def descriptor_forward(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
