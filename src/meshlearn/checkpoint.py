@@ -93,7 +93,7 @@ def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<Q", take(8))
-    config, params = _config_from_json(bytes(take(cfg_len)))
+    config = _config_from_json(bytes(take(cfg_len)))
     if expected_config is not None and _config_dict(expected_config) != _config_dict(config):
         raise CheckpointError("checkpoint config does not match expected config")
     (count,) = struct.unpack("<I", take(4))
@@ -115,19 +115,27 @@ def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
         arrays[name] = arr.astype(arr.dtype.newbyteorder("="))
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after the last array")
+    mismatch = CheckpointError("checkpoint arrays do not have the names, shapes "
+                               "and dtype its config needs")
+    # counted before anything is allocated: a config can ask for far more
+    # than the file holds
+    if net.param_count(config) != sum(a.size for a in arrays.values()):
+        raise mismatch
+    try:
+        params = net.init_params(config)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"invalid checkpoint config: {e}") from None
     needed = params.named_arrays()
     if ({k: (a.shape, a.dtype) for k, a in arrays.items()}
             != {k: (a.shape, a.dtype) for k, a in needed}):
-        raise CheckpointError("checkpoint arrays do not have the names, shapes "
-                              "and dtype its config needs")
+        raise mismatch
     for name, arr in needed:
         arr[...] = arrays[name]
     return params, config
 
 
-def _config_from_json(blob: bytes) -> tuple[net.ModelConfig, net.ModelParams]:
-    """The stored model config, and parameters of the shapes it needs for
-    the stored arrays to fill."""
+def _config_from_json(blob: bytes) -> net.ModelConfig:
+    """The stored model config."""
     try:
         cfg = json.loads(blob.decode())
     except ValueError as e:
@@ -140,8 +148,7 @@ def _config_from_json(blob: bytes) -> tuple[net.ModelConfig, net.ModelParams]:
     try:
         for k in ("block_channels", "region_sizes", "t_schedule"):
             cfg[k] = tuple(cfg[k])
-        config = net.ModelConfig(**cfg)
-        return config, net.init_params(config)
+        return net.ModelConfig(**cfg)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from None
 

@@ -124,9 +124,16 @@ def cmd_pool(args) -> int:
     return EXIT_OK
 
 
-def _load_train_test(args, synth_kw):
+def _load_train_test(args, synth_kw, num_classes):
+    """Train and test splits. A configured ``num_classes`` must cover the
+    classes of the data, checked before any mesh is generated."""
+    def check_classes(found: int) -> None:
+        if num_classes is not None and num_classes < found:
+            raise ValueError(f"num_classes = {num_classes} but the data has {found} classes")
+
     if args.synthetic:
         spec = SyntheticSpec(**synth_kw)
+        check_classes(len(spec.classes))
         per_class_train = (args.per_class_train if args.per_class_train is not None
                            else max(1, int(spec.samples_per_class * 2 / 3)))
         # make_splits' own check, made before any mesh is generated
@@ -139,6 +146,7 @@ def _load_train_test(args, synth_kw):
     if not args.data:
         raise MeshError("either --data or --synthetic is required")
     dataset = load_dataset(args.data)
+    check_classes(dataset.num_classes)
     tagged = {s.split for s in dataset.samples}
     if args.per_class_train is not None:
         return make_splits(dataset, args.per_class_train, seed=args.seed)
@@ -160,7 +168,7 @@ def cmd_train(args) -> int:
     # both configs are checked before any data is generated or loaded
     model_config = net.ModelConfig(**model_kw)
     train_config = training.TrainConfig(**train_kw)
-    tr, te = _load_train_test(args, synth_kw)
+    tr, te = _load_train_test(args, synth_kw, model_kw.get("num_classes"))
     if "num_classes" not in model_kw:
         model_config = dataclasses.replace(model_config, num_classes=tr.num_classes)
     os.makedirs(args.out, exist_ok=True)

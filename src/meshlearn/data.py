@@ -288,25 +288,23 @@ class SyntheticSpec:
             raise ValueError("seed must be >= 0")
         if self.samples_per_class < 1:
             raise ValueError("samples per class must be >= 1")
+        if not self.classes:
+            raise ValueError("no synthetic classes")
         for c in self.classes:
             if c not in GENERATORS:
                 raise ValueError(f"unknown synthetic class {c!r}")
+            if not _resolution_options(c, lo, hi):
+                raise ValueError(f"face band [{lo}, {hi}] unreachable for class {c!r}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Seeded synthetic dataset of closed manifold meshes.
 
     Every sample gets its own child seed controlling resolution choice,
-    rigid transform and jitter; raises if a class cannot reach the face
-    band at any generator resolution.
+    rigid transform and jitter. ``SyntheticSpec`` has checked that every
+    class reaches the face band at some generator resolution.
     """
-    lo, hi = spec.face_band
-    options = {}
-    for cls in spec.classes:
-        opts = _resolution_options(cls, lo, hi)
-        if not opts:
-            raise ValueError(f"face band [{lo}, {hi}] unreachable for class {cls!r}")
-        options[cls] = opts
+    options = {cls: _resolution_options(cls, *spec.face_band) for cls in spec.classes}
     ss = np.random.SeedSequence(spec.seed)
     children = ss.spawn(len(spec.classes) * spec.samples_per_class)
     samples = []

@@ -18,13 +18,11 @@ Missing neighbors on borders contribute zero vectors. The first geodesic
 term is identically zero for the arithmetic centroid; it is kept so the
 kernel layout stays a plain (a0, a1, a2) triple.
 
-Every stage works on whole (F, 3, 3) arrays, in a fixed order of
-evaluation: each sum over a face's three vertex or neighbor slots adds
-them left to right, and each kernel adds its weighted terms onto zeros in
-term order. That order is the one ``sum(axis=1)`` and
-``einsum("jt,ftc->fjc")`` use, so the features are bit-identical to those
-reductions (``tests/oracles.py`` checks it) and so are the bench checksum
-and the trained checkpoints.
+Every stage works on whole arrays in a fixed order: a sum over a face's
+three vertex or neighbor slots adds them left to right, and a kernel adds
+its weighted terms onto zeros in term order. That is the order of
+``sum(axis=1)`` and ``einsum("jt,ftc->fjc")``, which keeps the features,
+the bench checksum and trained checkpoints bit-identical.
 """
 
 from __future__ import annotations
@@ -140,17 +138,13 @@ def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
 def compute_geometric_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
                             abs_mode: str = "componentwise") -> np.ndarray:
     """(F, 4 terms, 3) raw terms of the geometric descriptor."""
-    nb = adj.neighbors
-    safe_nb = np.where(nb == NONE, 0, nb)
-    missing = (nb == NONE)[:, :, None]
-
-    cdiff = geo.face_centroids[:, None, :] - geo.face_centroids[safe_nb]
-    cdiff = np.where(missing, 0.0, _abs_terms(cdiff, abs_mode))
-    ncross = np.cross(np.broadcast_to(geo.face_normals[:, None, :], safe_nb.shape + (3,)),
-                      geo.face_normals[safe_nb])
-    ncross = np.where(missing, 0.0, _abs_terms(ncross, abs_mode))
-    return np.stack([geo.face_centroids, geo.face_normals,
-                     _slot_sum(cdiff), _slot_sum(ncross)], axis=1)
+    c, n = geo.face_centroids, geo.face_normals
+    nb = adj.neighbors            # a border slot reads face -1, then is zeroed
+    border = (nb == NONE)[:, :, None]
+    cdiff = np.where(border, 0.0, _abs_terms(c[:, None, :] - c[nb], abs_mode))
+    ncross = np.cross(np.broadcast_to(n[:, None, :], nb.shape + (3,)), n[nb])
+    ncross = np.where(border, 0.0, _abs_terms(ncross, abs_mode))
+    return np.stack([c, n, _slot_sum(cdiff), _slot_sum(ncross)], axis=1)
 
 
 def _kernel_forward(w: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -54,6 +54,10 @@ class ModelConfig:
                              "(expected 'componentwise' or 'norm')")
         if min(self.region_sizes) < 3:
             raise ValueError(f"region_sizes {self.region_sizes} has an entry below 3")
+        if min(self.t_schedule) < 4:
+            raise ValueError(f"t_schedule {self.t_schedule} has an entry below 4")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def num_blocks(self) -> int:
@@ -86,6 +90,15 @@ class ModelParams:
                     (f"conv{i}.w2", cp.w2), (f"conv{i}.bias", cp.bias)]
         out += [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
         return out
+
+
+def param_count(config: ModelConfig) -> int:
+    """Number of elements of ``init_params(config)``, without allocating."""
+    n, c_in = 3 * config.k_geo + 4 * config.k_geom, config.descriptor_channels
+    for width in config.block_channels:
+        n += 3 * c_in * width + width + (config.convs_per_block - 1) * (3 * width + 1) * width
+        c_in = width
+    return n if config.head == "channel_gap" else n + config.num_classes * (c_in + 1)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelParams:

@@ -225,7 +225,17 @@ class _PassState:
         """Return the collapse of the alive, unsettled face f as (removed,
         ring, lost, center_verts) if it is compatible with everything
         accepted so far, or None if the simulation rejects it for now.
-        ``lost`` holds the current vertex opposite f in each neighbor."""
+        ``lost`` holds the current vertex opposite f in each neighbor.
+
+        The degenerate-face test fires only on a ring face with a repeated
+        vertex (build_adjacency accepts one, validate_mesh does not): on an
+        edge-manifold input, o or q in cvs would make the face a neighbor,
+        and o, q merged into one token would put it on an edge of an
+        earlier center face, which died with it. The duplicate-face test
+        fires on two ring faces across one edge o-q in opposite directions:
+        at a vertex-manifold merge point that 2-cycle is the whole link, so
+        f's component has 6 faces and is never tried, but a pinched vertex
+        carrying a pillow of two faces reaches it."""
         nbs = self.neighbors[f]
         cvs = self.faces[f]
         alive, rep, corners = self.alive, self.rep, self.corners

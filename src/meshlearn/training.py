@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

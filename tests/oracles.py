@@ -6,8 +6,10 @@ by a dense (F, K, C) gather and an ``np.add.at`` scatter, weights by a
 plain per-face Python loop, pooling plans by a naive greedy that
 re-validates every candidate against a from-scratch reconstruction of
 the whole post-collapse mesh, and OFF files by a per-line parser and a
-per-row writer, OBJ files by a per-line parser. The library must bit-match
-all of them.
+per-row writer, OBJ files by a per-line parser. Geometry and descriptor
+terms use NumPy's reductions (``mean``, ``sum(axis=1)``, ``np.add.at``,
+``einsum``) and a per-vertex-slot loop with an argsort. The library must
+bit-match all of them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import io
 
 import numpy as np
 
-from meshlearn.core import NONE, Mesh, MeshError
+from meshlearn.core import NONE, GeometryCache, Mesh, MeshError
 
 # ---------------------------------------------------------------------------
 # OFF and OBJ file I/O
@@ -444,3 +446,85 @@ def oracle_provenance(mesh: Mesh, regions) -> list[list[int]]:
                 row.update(h for h in removed if faces[h] & fg)
         rows.append(sorted(row))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# geometry and face descriptors
+
+
+def oracle_geometry(mesh: Mesh) -> GeometryCache:
+    """Centroids by ``mean``; vertex normal sums by ``np.add.at`` in
+    slot-major order (every face's slot 0, then slot 1, then slot 2)."""
+    v, f = mesh.vertices, mesh.faces
+    V, F = mesh.num_vertices, mesh.num_faces
+    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    norms = np.linalg.norm(cross, axis=1)
+    normals = cross / norms[:, None]
+    vsum = np.zeros((V, 3))
+    np.add.at(vsum, f.T.ravel(), np.tile(normals, (3, 1)))
+    vcount = np.bincount(f.ravel(), minlength=V)
+    used = vcount > 0
+    vnormals = np.zeros((V, 3))
+    vnormals[used] = vsum[used] / vcount[used, None]
+    # a zero mean falls back to the normal of the first incident face
+    for u in np.flatnonzero(used & (np.linalg.norm(vnormals, axis=1) <= 1e-300)):
+        vnormals[u] = normals[np.flatnonzero((f == u).any(axis=1))[0]]
+    vn = np.linalg.norm(vnormals, axis=1)
+    nz = vn > 0
+    vnormals[nz] = vnormals[nz] / vn[nz, None]
+    return GeometryCache(v[f].mean(axis=1), normals, 0.5 * norms, vnormals)
+
+
+def _oracle_abs(x: np.ndarray, abs_mode: str) -> np.ndarray:
+    if abs_mode == "componentwise":
+        return np.abs(x)
+    return np.repeat(np.linalg.norm(x, axis=-1, keepdims=True), 3, axis=-1)
+
+
+def oracle_geodesic_terms(mesh: Mesh, adj, geo: GeometryCache,
+                          abs_mode: str = "componentwise"):
+    """(pos_dev, vnormal, edge_pair_diff, slot_sums). For each vertex slot
+    i, a stable argsort picks the two adjacency slots whose shared edge
+    holds vertex i, in slot order; each gives the vector from vertex i to
+    the neighbor's free vertex, or zero across a border."""
+    v, f = mesh.vertices, mesh.faces
+    F = mesh.num_faces
+    pos_dev = v[f] - geo.face_centroids[:, None, :]
+    vnormal = geo.vertex_normals[f]
+    nb, se = adj.neighbors, adj.shared_edges
+    safe_nb = np.where(nb == NONE, 0, nb)
+    opp = f[safe_nb].sum(axis=2) - se.sum(axis=2)
+    evec = np.zeros((F, 3, 2, 3))
+    rows = np.arange(F)[:, None]
+    for i in range(3):
+        vi = f[:, i]
+        on_edge = (se[:, :, 0] == vi[:, None]) | (se[:, :, 1] == vi[:, None])
+        slot_idx = np.argsort(~on_edge, axis=1, kind="stable")[:, :2]
+        chosen_opp = np.clip(opp[rows, slot_idx], 0, mesh.num_vertices - 1)
+        vecs = v[chosen_opp] - v[vi][:, None, :]
+        vecs[nb[rows, slot_idx] == NONE] = 0.0
+        evec[:, i] = vecs
+    edge_pair_diff = _oracle_abs(evec[:, :, 0] - evec[:, :, 1], abs_mode)
+    slot_sums = np.stack([x.sum(axis=1) for x in (pos_dev, vnormal, edge_pair_diff)],
+                         axis=1)
+    return pos_dev, vnormal, edge_pair_diff, slot_sums
+
+
+def oracle_geometric_terms(adj, geo: GeometryCache,
+                           abs_mode: str = "componentwise") -> np.ndarray:
+    """(F, 4, 3): centroid, normal, and the neighbor sums (``sum(axis=1)``)
+    of |centroid difference| and |normal cross product|, zero across a
+    border."""
+    nb = adj.neighbors
+    safe_nb = np.where(nb == NONE, 0, nb)
+    missing = (nb == NONE)[:, :, None]
+    c, n = geo.face_centroids, geo.face_normals
+    cdiff = np.where(missing, 0.0, _oracle_abs(c[:, None, :] - c[safe_nb], abs_mode))
+    ncross = np.cross(np.broadcast_to(n[:, None, :], safe_nb.shape + (3,)), n[safe_nb])
+    ncross = np.where(missing, 0.0, _oracle_abs(ncross, abs_mode))
+    return np.stack([c, n, cdiff.sum(axis=1), ncross.sum(axis=1)], axis=1)
+
+
+def oracle_kernel_forward(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """(F, 3*J) features of J kernels over (F, T, 3) terms, by ``einsum``."""
+    return np.einsum("jt,ftc->fjc", w, terms).reshape(len(terms), -1)

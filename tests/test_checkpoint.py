@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshlearn.network as net
 from meshlearn.checkpoint import (MAGIC, CheckpointError, checkpoint_digest,
@@ -89,6 +91,10 @@ DEFECTS = {
     "unknown_head": "unknown head 'foo'",
     "unknown_abs_mode": "unknown abs_mode 'foo'",
     "region_size_below_3": r"region_sizes \S.* has an entry below 3",
+    "t_schedule_below_4": r"t_schedule \S.* has an entry below 4",
+    "negative_seed": "seed must be >= 0",
+    # (10**5)**2 weights per conv layer; rejected before any is allocated
+    "huge_block_channels": "names, shapes",
     # u64 dims whose product overflows int64, wraps it to 0, or has no
     # elements but a dim beyond NumPy's limit
     "dims_beyond_int64": "truncated checkpoint file",
@@ -128,6 +134,12 @@ def write_malformed(path, defect):
         cfg["abs_mode"] = "foo"
     elif defect == "region_size_below_3":
         cfg["region_sizes"][0] = 2
+    elif defect == "t_schedule_below_4":
+        cfg["t_schedule"][-1] = 3
+    elif defect == "negative_seed":
+        cfg["seed"] = -1
+    elif defect == "huge_block_channels":
+        cfg["block_channels"] = [10**5] * 3
     elif defect == "non_utf8_name":
         rest[6] = 0xFF             # the first byte of the first array's name
     elif defect in HUGE_DIMS:
@@ -145,3 +157,35 @@ def test_malformed_checkpoint_rejected(tmp_path, defect):
     write_malformed(path, defect)
     with pytest.raises(CheckpointError, match=DEFECTS[defect]):
         load_checkpoint(path)
+
+
+def mutate_bytes(data: bytes, draw, limit: int | None = None) -> bytes:
+    """One to three byte overwrites, insertions or deletions, at positions
+    below ``limit`` (by default anywhere)."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, min(limit or len(out), len(out)) - 1))
+        op = draw(st.sampled_from(["set", "insert", "delete"]))
+        if op == "delete":
+            del out[i]
+        else:
+            out[i:i + (op == "set")] = bytes([draw(st.integers(0, 255))])
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_raises_only_checkpoint_error(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt")
+    config = small_config()
+    save_checkpoint(path, _params(config), config)
+    good = open(path, "rb").read()
+    # most of the structure sits in the header, the config and the first
+    # array headers; the rest is float data
+    limit = data.draw(st.sampled_from([64, 400, None]))
+    with open(path, "wb") as fh:
+        fh.write(mutate_bytes(good, data.draw, limit))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

@@ -1,11 +1,16 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
+import contextlib
 import functools
+import io
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshlearn.network as net
 from meshlearn import cli, pooling, training
@@ -15,7 +20,7 @@ from meshlearn.data import (SyntheticSpec, generate_synthetic, icosphere,
                             torus, write_dataset)
 
 from conftest import tetrahedron
-from test_checkpoint import DEFECTS, write_malformed
+from test_checkpoint import DEFECTS, mutate_bytes, write_malformed
 from test_network import corrupt_conv_gradients
 
 
@@ -242,12 +247,20 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("synthetic.jitter = nan", "jitter must be finite and >= 0"),
     ("synthetic.jitter = 1e999", "jitter must be finite and >= 0"),
     ("synthetic.seed = -1", "seed must be >= 0"),
+    ("train.seed = -1", "seed must be >= 0"),
+    ("seed = -1", "seed must be >= 0"),
+    ("t_schedule = 40 34 3", "t_schedule (40, 34, 3) has an entry below 4"),
+    ("num_classes = 2", "num_classes = 2 but the data has 3 classes"),
+    ("synthetic.face_band = 80 81", "face band [80, 81] unreachable for class 'box'"),
+    ("synthetic.classes = ,", "no synthetic classes"),
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size", "epochs_zero",
         "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
         "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
         "learning_rate_1e999", "momentum_nan", "momentum_1e999", "momentum_negative",
         "weight_decay_inf", "weight_decay_nan", "weight_decay_negative", "jitter_nan",
-        "jitter_1e999", "synthetic_seed_negative"])
+        "jitter_1e999", "synthetic_seed_negative", "train_seed_negative",
+        "model_seed_negative", "t_schedule_below_4", "num_classes_below_data",
+        "face_band_unreachable", "no_synthetic_classes"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):
@@ -423,3 +436,88 @@ def test_gradcheck_corrupt_fails(capsys, monkeypatch):
     corrupt_conv_gradients(monkeypatch)
     assert run(["gradcheck", "--faces", "40"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# mutated inputs: each either passes or exits 2 with a message
+
+
+class _DataRequested(Exception):
+    """Raised in place of generating data: the config passed every check."""
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def test_train_num_classes_below_dataset_exit_2(tmp_path, capsys):
+    _, root = _synthetic_root(tmp_path, per_class=3)
+    cfg = _write_config(tmp_path, "num_classes = 2\n")
+    out = str(tmp_path / "run")
+    assert run(["train", "--data", root, "--per-class-train", "2", "--config", cfg,
+                "--out", out]) == 2
+    assert "num_classes = 2 but the data has 3 classes" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_train_mutated_config_exit_2_before_data(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("cfg")
+    cfg = _write_config(root)
+    with open(cfg, "rb") as fh:
+        text = mutate_bytes(fh.read(), data.draw)
+    with open(cfg, "wb") as fh:
+        fh.write(text)
+    out = str(root / "run")
+
+    def no_data(spec):
+        raise _DataRequested
+
+    with mock.patch.object(cli, "generate_synthetic", no_data):
+        try:
+            code, err = _run_captured(["train", "--synthetic", "--config", cfg,
+                                       "--out", out])
+        except _DataRequested:
+            return
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A one-mesh-per-class dataset and the bytes of a matching checkpoint."""
+    tmp = tmp_path_factory.mktemp("eval")
+    _, root = _synthetic_root(tmp, per_class=1)
+    path = str(tmp / "good.ckpt")
+    config = _small_config()
+    save_checkpoint(path, net.init_params(config), config)
+    with open(path, "rb") as fh:
+        return root, fh.read()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_mutated_checkpoint_exit_0_or_2(eval_inputs, tmp_path_factory, data):
+    root, good = eval_inputs
+    path = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(mutate_bytes(good, data.draw, data.draw(st.sampled_from([64, 400, None]))))
+    code, err = _run_captured(["eval", path, "--data", root])
+    assert code == 0 or (code == 2 and err.startswith("error: ")), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_info_mutated_mesh_exit_0_or_2(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("off") / "m.off")
+    save_off(tetrahedron(), path)
+    with open(path, "rb") as fh:
+        text = mutate_bytes(fh.read(), data.draw)
+    with open(path, "wb") as fh:
+        fh.write(text)
+    code, err = _run_captured(["info", path])
+    assert code == 0 or (code == 2 and err.startswith("error: ")), err

@@ -151,6 +151,11 @@ def test_synthetic_spec_validation():
         SyntheticSpec(jitter=-0.1)
     with pytest.raises(ValueError, match="unknown synthetic class"):
         SyntheticSpec(classes=("pyramid",))
+    with pytest.raises(ValueError, match="no synthetic classes"):
+        SyntheticSpec(classes=())
+    # checked on the spec, before generate_synthetic is reached
+    with pytest.raises(ValueError, match=r"face band \[80, 81\] unreachable for class 'box'"):
+        SyntheticSpec(face_band=(80, 81))
 
 
 def test_default_band_hits_about_500_faces():

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshlearn.core import (NONE, Mesh, build_adjacency, compute_geometry,
                             normalize_mesh)
-from meshlearn.data import icosahedron, subdivide, torus
+from meshlearn.data import box, icosahedron, icosphere, subdivide, torus
 from meshlearn.descriptors import (DescriptorParams, compute_geodesic_terms,
                                    compute_geometric_terms, descriptor_backward,
                                    descriptor_forward, geodesic_forward,
                                    geometric_forward, init_descriptor_params)
 
-from conftest import jitter_mesh, single_triangle
+from conftest import (disjoint_union, flip_edges, jitter_mesh, rigid_transform,
+                      single_triangle)
+from oracles import (oracle_geodesic_terms, oracle_geometric_terms,
+                     oracle_geometry, oracle_kernel_forward)
 
 
 def _inputs(mesh):
@@ -75,8 +80,94 @@ def test_edge_pair_diff_matches_oracle(rng):
     for mesh in [icosahedron(), jitter_mesh(torus(5, 4), rng)]:
         terms = compute_geodesic_terms(mesh, *_inputs(mesh))
         for f in range(mesh.num_faces):
-            assert np.allclose(terms.edge_pair_diff[f],
-                               oracle_edge_pair_diff(mesh, f), atol=1e-12)
+            assert np.array_equal(terms.edge_pair_diff[f], oracle_edge_pair_diff(mesh, f))
+
+
+# ---------------------------------------------------------------------------
+# bit-exact oracles of every stage
+
+
+def pinched_pillow() -> Mesh:
+    """icosphere(1) with two faces (0, a, b), (0, b, a) pinched onto vertex
+    0: the normals at a and b cancel, so they take the fallback."""
+    ico = icosphere(1)
+    V = ico.num_vertices
+    p = ico.vertices[0]
+    return Mesh(np.vstack([ico.vertices, p + [0.3, 0.1, 0.0], p + [0.1, 0.3, 0.05]]),
+                np.vstack([ico.faces, [[0, V, V + 1], [0, V + 1, V]]]))
+
+
+ORACLE_MESHES = {
+    "closed": icosphere(2),
+    "bordered": Mesh(icosphere(2).vertices, icosphere(2).faces[7:]),
+    "two_components": disjoint_union(torus(6, 4), box(2)),
+    "edge_flipped": flip_edges(icosphere(2), np.random.default_rng(1), 60),
+    "jittered": jitter_mesh(torus(8, 5), np.random.default_rng(2)),
+    "pinched_pillow": pinched_pillow(),
+    "flat_patch": flat_patch(),
+    "single_triangle": single_triangle(),
+}
+PROPERTY_MESHES = list(ORACLE_MESHES.values()) + [
+    box(1), torus(5, 3), flip_edges(box(2), np.random.default_rng(3), 20)]
+ABS_MODES = ("componentwise", "norm")
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    # stricter than np.array_equal: 0.0 and -0.0 differ
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_stages_match_oracles(mesh, abs_mode, params):
+    adj = build_adjacency(mesh)
+    geo = compute_geometry(mesh)
+    want_geo = oracle_geometry(mesh)
+    for name in ("face_centroids", "face_normals", "face_areas", "vertex_normals"):
+        assert_same_bits(getattr(geo, name), getattr(want_geo, name))
+    terms = compute_geodesic_terms(mesh, adj, geo, abs_mode)
+    want = oracle_geodesic_terms(mesh, adj, geo, abs_mode)
+    for got, expect in zip((terms.pos_dev, terms.vnormal, terms.edge_pair_diff,
+                            terms.slot_sums), want):
+        assert_same_bits(got, expect)
+    gterms = compute_geometric_terms(mesh, adj, geo, abs_mode)
+    assert_same_bits(gterms, oracle_geometric_terms(adj, geo, abs_mode))
+    assert_same_bits(geodesic_forward(terms, params),
+                     oracle_kernel_forward(params.geo, want[3]))
+    assert_same_bits(geometric_forward(gterms, params),
+                     oracle_kernel_forward(params.geom, gterms))
+
+
+@pytest.mark.parametrize("abs_mode", ABS_MODES)
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_descriptor_stages_bit_equal_oracles(name, abs_mode):
+    params = init_descriptor_params(4, 3, np.random.default_rng(11))
+    params.geo[1] = 0.0   # all-zero kernels: einsum starts them from +0.0
+    params.geom[2] = 0.0
+    assert_stages_match_oracles(ORACLE_MESHES[name], abs_mode, params)
+
+
+def test_vertex_normal_fallback_reached():
+    # the pillow's own vertices sum two opposite normals to exactly zero
+    # and take the normal of their first face
+    geo = compute_geometry(pinched_pillow())
+    n = geo.face_normals
+    assert not (n[-2] + n[-1]).any()
+    assert np.allclose(geo.vertex_normals[-2:], n[-2], rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_descriptor_stages_match_oracles_property(data):
+    mesh = data.draw(st.sampled_from(PROPERTY_MESHES))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        mesh = rigid_transform(jitter_mesh(mesh, rng, data.draw(st.sampled_from([1e-6, 0.05]))),
+                               rng)
+    k_geo, k_geom = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    params = init_descriptor_params(k_geo, k_geom, rng)
+    params.geo[data.draw(st.lists(st.booleans(), min_size=k_geo, max_size=k_geo))] = 0.0
+    params.geom[data.draw(st.lists(st.booleans(), min_size=k_geom, max_size=k_geom))] = 0.0
+    assert_stages_match_oracles(mesh, data.draw(st.sampled_from(ABS_MODES)), params)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ def test_config_validation():
         small_config(k_geo=0)
     with pytest.raises(ValueError, match="lengths"):
         net.ModelConfig(block_channels=(8, 8), region_sizes=(3, 4, 5))
+    with pytest.raises(ValueError, match="below 4"):
+        small_config(t_schedule=(40, 34, 3))
+    with pytest.raises(ValueError, match="seed"):
+        small_config(seed=-1)
 
 
 def test_init_params_channel_chain():
@@ -46,6 +50,15 @@ def test_init_params_channel_chain():
         assert cp.in_channels == c_in
         c_in = cp.out_channels
     assert params.classifier_w.shape == (config.num_classes, c_in)
+
+
+@pytest.mark.parametrize("kw", [
+    {}, dict(convs_per_block=3, block_channels=(8, 16, 4)), dict(convs_per_block=1),
+    dict(head="channel_gap", block_channels=(8, 8, 3)), dict(k_geo=1, k_geom=5)])
+def test_param_count_matches_init_params(kw):
+    config = small_config(**kw)
+    params = net.init_params(config)
+    assert net.param_count(config) == sum(a.size for _, a in params.named_arrays())
 
 
 def test_channel_gap_head_requires_matching_width():

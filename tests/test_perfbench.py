@@ -1,15 +1,15 @@
 """The benchmark in ``perfbench/`` still runs against this source tree:
-every name its tracer wraps exists, a traced pooling stage reports its
-counts, and the pooling stage and a training step pass the benchmark's own
-output checks."""
+every name its tracer wraps exists and is called through the module global
+it wraps, a traced pooling stage reports its counts, and the pooling stage
+and a training step pass the benchmark's own output checks."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from meshlearn import network, pooling
-from meshlearn.core import build_adjacency
+from meshlearn import cli, network, pooling
+from meshlearn.core import build_adjacency, save_off
 from meshlearn.data import icosphere
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -41,6 +41,23 @@ def test_traced_pool_stage_counts_and_passes_checks():
     assert metrics["pooling.collapses"][0] > 0
     assert metrics["pooling.passes"][0] >= 1
     assert checks.stage_problems(mesh, adj, feats, target, pooled) == []
+
+
+def test_traced_pool_job_attributes_descriptor_and_geometry(tmp_path, capsys):
+    # a stage that stops calling a wrapped module global reads 0 ms here
+    save_off(icosphere(2), str(tmp_path / "in.off"))
+    tracer = tracing.LayerTracer()
+    with tracer.traced("job"):
+        assert cli.main(["pool", str(tmp_path / "in.off"), "--target", "80",
+                         "--weights", "descriptor", "-o", str(tmp_path / "out.off")]) == 0
+    metrics = tracer.metrics()
+    for name in ("descriptors.terms.ms", "descriptors.forward.ms",
+                 "core.compute_geometry.ms"):
+        assert metrics[name][0] > 0, name
+    spans = [s.name for s in tracer.spans]
+    # cli.descriptor_forward, then the geodesic and geometric forwards
+    assert spans.count("descriptors.forward") == 3
+    assert spans.count("descriptors.terms") == 2
 
 
 def test_training_step_passes_directional_derivative_check():

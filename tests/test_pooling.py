@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshlearn import pooling
-from meshlearn.core import (Mesh, build_adjacency, compute_geometry,
+from meshlearn.core import (NONE, Mesh, build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 from meshlearn.descriptors import descriptor_forward, init_descriptor_params
@@ -255,6 +255,59 @@ def test_watch_lists_wake_exactly_the_two_hop_faces(mesh):
     for y in range(mesh.num_faces):
         woken = {w for v in mesh.faces[y].tolist() for w in state.watch[v]}
         assert woken == set(np.flatnonzero(two_hop[:, y]).tolist())
+
+
+def test_try_candidate_rejects_repeated_vertex_ring_face():
+    # a face (a, x, x) at a center vertex a gives o == q; build_adjacency
+    # accepts it, with a border in every slot, and validate_mesh does not
+    ico = icosphere(2)
+    x = ico.num_vertices
+    mesh = Mesh(np.vstack([ico.vertices, [[2.0, 2, 2]]]),
+                np.vstack([ico.faces, [[ico.faces[0, 0], x, x]]]))
+    adj = build_adjacency(mesh)
+    assert (adj.neighbors[-1] == NONE).all() and not validate_mesh(mesh).ok
+    state = pooling._PassState(mesh, adj)
+    assert not state.settled[0]
+    assert state.try_candidate(0) is None
+    # the self-loop x -> x also reads as a duplicate face, so the result
+    # changes only when both tests are dropped
+    assert pooling._PassState(ico, build_adjacency(ico)).try_candidate(0) is not None
+
+
+def _bipyramid() -> Mesh:
+    """Triangular bipyramid. Collapsing face 0 = (0, 1, 2) turns its two
+    ring faces (0, 3, 4) and (1, 4, 3), across edge 3-4, into one triangle
+    in both orientations."""
+    s = np.sqrt(3) / 2
+    return Mesh(np.array([[1.0, 0, 0], [-0.5, s, 0], [0, 0, 1], [-0.5, -s, 0], [0, 0, -1]]),
+                np.array([[0, 1, 2], [1, 0, 4], [2, 1, 3], [0, 2, 3], [0, 3, 4], [1, 4, 3]]))
+
+
+def test_try_candidate_rejects_duplicate_face_after_merge():
+    mesh = _bipyramid()
+    assert validate_mesh(mesh).ok
+    state = pooling._PassState(mesh, build_adjacency(mesh))
+    assert not any(state.settled)
+    assert state.try_candidate(0) is None
+
+
+def test_plan_rejects_duplicate_face_at_pinched_vertex(monkeypatch):
+    # a pillow of two faces (0, a, b), (0, b, a) pinched onto vertex 0 of
+    # a valid mesh: the first face tried holds vertex 0 and is rejected
+    ico = icosphere(1)
+    V = ico.num_vertices
+    p = ico.vertices[0]
+    mesh = Mesh(np.vstack([ico.vertices, p + [0.3, 0.1, 0.0], p + [0.1, 0.3, 0.05]]),
+                np.vstack([ico.faces, [[0, V, V + 1], [0, V + 1, V]]]))
+    assert validate_mesh(mesh).ok
+    first = int(np.flatnonzero((ico.faces == 0).any(axis=1))[0])
+    weights = np.ones(mesh.num_faces)
+    weights[first] = 0.0
+    tries = _count_tries(monkeypatch)
+    plan = plan_pass(mesh, build_adjacency(mesh), weights, mesh.num_faces // 2)
+    assert tries[first] >= 1
+    assert first not in [r.center for r in plan.regions]
+    assert plan.regions
 
 
 def _interleaved_components() -> Mesh:

@@ -23,6 +23,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError, match="batch size"):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
     TrainConfig(learning_rate=0.0)    # zero is allowed
 
 
