@@ -76,10 +76,9 @@ def _mesh_work(item, params, config, kernel_size):
 
     t0 = time.perf_counter()
     regions = convmod.build_regions(static.adjacency, kernel_size)
-    out, cache = convmod.conv_forward(feats, regions, params.conv_layers[0],
-                                      activation=True, return_cache=True)
-    gf, _ = convmod.conv_backward(feats, regions, params.conv_layers[0],
-                                  np.ones_like(out), activation=True, cache=cache)
+    conv = params.conv_layers[0]
+    out, cache = convmod.conv_forward(feats, regions, conv, return_cache=True)
+    gf, _ = convmod.conv_backward(feats, regions, conv, np.ones_like(out), cache)
     t["conv"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -16,8 +16,9 @@ Byte layout (all integers little-endian, floats IEEE-754 little-endian):
 
 Round-trips are bit-exact. Loading verifies magic, version, truncation
 and trailing bytes, that the config holds exactly the ``ModelConfig``
-fields, that the arrays have the names, shapes and dtype that config
-needs, and optionally that the config equals an expected one.
+fields (plus ``RETIRED_KEYS`` at their one value), that the arrays have
+the names, shapes and dtype that config needs, and optionally that the
+config equals an expected one.
 """
 
 from __future__ import annotations
@@ -134,6 +135,10 @@ def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
     return params, config
 
 
+# Keys older checkpoints store for retired model variants, at their one value
+RETIRED_KEYS = {"abs_mode": "componentwise", "normalize_regions": False, "head": "linear"}
+
+
 def _config_from_json(blob: bytes) -> net.ModelConfig:
     """The stored model config."""
     try:
@@ -142,6 +147,11 @@ def _config_from_json(blob: bytes) -> net.ModelConfig:
         raise CheckpointError(f"unreadable checkpoint config: {e}") from None
     fields = {f.name for f in dataclasses.fields(net.ModelConfig)}
     keys = set(cfg) if isinstance(cfg, dict) else set()
+    for k in keys & RETIRED_KEYS.keys():
+        if (value := cfg.pop(k)) != RETIRED_KEYS[k]:
+            raise CheckpointError(f"checkpoint config key {k!r} is {value!r}; "
+                                  f"only {RETIRED_KEYS[k]!r} is supported")
+        keys.remove(k)
     if keys != fields:
         raise CheckpointError(f"checkpoint config has unknown keys {sorted(keys - fields)} "
                               f"and lacks keys {sorted(fields - keys)}")

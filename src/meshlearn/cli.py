@@ -251,6 +251,13 @@ def positive_int(raw: str) -> int:
     return int(raw)
 
 
+def face_count(raw: str) -> int:
+    """At most 10**6, so the face band --faces asks for is within MAX_SYNTHETIC_FACES."""
+    if positive_int(raw) > 10**6:
+        raise argparse.ArgumentTypeError(f"must be <= {10**6}, got {raw}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="meshlearn")
     sub = p.add_subparsers(dest="command", required=True)
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("bench", help="operator benchmark harness")
-    sp.add_argument("--faces", type=int, default=500)
+    sp.add_argument("--faces", type=face_count, default=500)
     sp.add_argument("--passes", type=int, default=50,
                     help="number of repeated batches")
     sp.add_argument("--batch", type=int, default=50)
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    sp.add_argument("--faces", type=int, default=60)
+    sp.add_argument("--faces", type=face_count, default=60)
     sp.add_argument("--tolerance", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--linear", action="store_true",

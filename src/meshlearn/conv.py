@@ -152,8 +152,7 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
 
 
 def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
-                 activation: bool = True, normalize: bool = False,
-                 return_cache: bool = False):
+                 activation: bool = True, return_cache: bool = False):
     """Apply the three-term convolution; optionally keep a backward cache."""
     if features.shape[0] != regions.num_faces:
         raise ValueError("features row count does not match region table")
@@ -166,9 +165,6 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     np.subtract(features, diff, out=diff)
     diff[:, pad] = np.where(valid[:, pad, None], diff[:, pad], 0.0)
     s2 = _slot_sum(np.abs(diff))
-    if normalize:
-        denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
-        s1, s2 = s1 / denom, s2 / denom
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
     if return_cache:
@@ -178,24 +174,17 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
 
 
 def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams,
-                  grad_out: np.ndarray, activation: bool = True,
-                  normalize: bool = False, cache: dict | None = None):
-    """Adjoint of conv_forward.
+                  grad_out: np.ndarray, cache: dict, activation: bool = True):
+    """Adjoint of conv_forward, given the cache of its forward pass.
 
     Returns (grad_features, grad_params). The |x| subgradient at 0 is 0.
     """
     if grad_out.shape != (features.shape[0], params.out_channels):
         raise ValueError("grad_out shape mismatch")
-    if cache is None:
-        _, cache = conv_forward(features, regions, params, activation=activation,
-                                normalize=normalize, return_cache=True)
     s1, s2, z = cache["s1"], cache["s2"], cache["z"]
     gz = grad_out * (z > 0) if activation else grad_out
     h1 = gz @ params.w1   # (F, C_in) pull-back of the neighbor sum
     h2 = gz @ params.w2   # pull-back of the abs-diff sum
-    if normalize:
-        denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
-        h1, h2 = h1 / denom, h2 / denom
     sign = np.sign(cache["diff"].transpose(1, 0, 2))      # (K, F, C_in)
     grad_features = gz @ params.w0
     # sums of -1/0/1 are exact in any order, so no one-channel rule here

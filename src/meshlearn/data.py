@@ -222,6 +222,8 @@ def torus(major_segments: int, minor_segments: int,
 
 
 GENERATORS = ("icosphere", "box", "torus")
+# Bounds on a spec's work: samples over all classes, face band upper bound
+MAX_SYNTHETIC_SAMPLES, MAX_SYNTHETIC_FACES = 10**6, 10**7
 
 
 def _resolution_options(cls: str, lo: int, hi: int) -> list[tuple]:
@@ -288,6 +290,11 @@ class SyntheticSpec:
             raise ValueError("seed must be >= 0")
         if self.samples_per_class < 1:
             raise ValueError("samples per class must be >= 1")
+        if len(self.classes) * self.samples_per_class > MAX_SYNTHETIC_SAMPLES:
+            raise ValueError(f"{len(self.classes)} classes x {self.samples_per_class} "
+                             f"samples exceeds {MAX_SYNTHETIC_SAMPLES} synthetic samples")
+        if hi > MAX_SYNTHETIC_FACES:
+            raise ValueError(f"face band upper bound {hi} exceeds {MAX_SYNTHETIC_FACES}")
         if not self.classes:
             raise ValueError("no synthetic classes")
         for c in self.classes:

@@ -12,8 +12,7 @@ Each kernel is a small weight vector combining fixed geometric terms:
   + b2 * sum_n |centroid - centroid_n| + b3 * sum_n |normal x normal_n|
   with n running over the (up to 3) edge-neighbor faces.
 
-|.| is the componentwise absolute value by default, keeping every term a
-3-vector; ``abs_mode="norm"`` broadcasts the Euclidean norm instead.
+|.| is the componentwise absolute value, keeping every term a 3-vector.
 Missing neighbors on borders contribute zero vectors. The first geodesic
 term is identically zero for the arithmetic centroid; it is kept so the
 kernel layout stays a plain (a0, a1, a2) triple.
@@ -32,14 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NONE, AdjacencyMatrix, GeometryCache, Mesh
-
-
-def _abs_terms(x: np.ndarray, abs_mode: str) -> np.ndarray:
-    if abs_mode == "componentwise":
-        return np.abs(x)
-    if abs_mode == "norm":
-        return np.repeat(np.linalg.norm(x, axis=-1, keepdims=True), 3, axis=-1)
-    raise ValueError(f"unknown abs_mode {abs_mode!r}")
 
 
 @dataclass
@@ -101,8 +92,8 @@ class GeodesicTerms:
                          (self.pos_dev, self.vnormal, self.edge_pair_diff)], axis=1)
 
 
-def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
-                           abs_mode: str = "componentwise") -> GeodesicTerms:
+def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix,
+                           geo: GeometryCache) -> GeodesicTerms:
     """Raw geodesic terms; pure geometry, no learnable weights involved."""
     v, f = mesh.vertices, mesh.faces
     vf = v[f]
@@ -131,19 +122,19 @@ def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
         e[np.take_along_axis(border, slot, axis=1)] = 0.0
         return e
 
-    edge_pair_diff = _abs_terms(toward(first) - toward(second), abs_mode)
+    edge_pair_diff = np.abs(toward(first) - toward(second))
     return GeodesicTerms(pos_dev, vnormal, edge_pair_diff)
 
 
-def compute_geometric_terms(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
-                            abs_mode: str = "componentwise") -> np.ndarray:
+def compute_geometric_terms(mesh: Mesh, adj: AdjacencyMatrix,
+                            geo: GeometryCache) -> np.ndarray:
     """(F, 4 terms, 3) raw terms of the geometric descriptor."""
     c, n = geo.face_centroids, geo.face_normals
     nb = adj.neighbors            # a border slot reads face -1, then is zeroed
     border = (nb == NONE)[:, :, None]
-    cdiff = np.where(border, 0.0, _abs_terms(c[:, None, :] - c[nb], abs_mode))
+    cdiff = np.where(border, 0.0, np.abs(c[:, None, :] - c[nb]))
     ncross = np.cross(np.broadcast_to(n[:, None, :], nb.shape + (3,)), n[nb])
-    ncross = np.where(border, 0.0, _abs_terms(ncross, abs_mode))
+    ncross = np.where(border, 0.0, np.abs(ncross))
     return np.stack([c, n, _slot_sum(cdiff), _slot_sum(ncross)], axis=1)
 
 
@@ -170,15 +161,14 @@ def geometric_forward(terms: np.ndarray, params: DescriptorParams) -> np.ndarray
 
 
 def descriptor_forward(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
-                       params: DescriptorParams,
-                       abs_mode: str = "componentwise") -> np.ndarray:
+                       params: DescriptorParams) -> np.ndarray:
     """Concatenated (F, 3*(k_geo + k_geom)) face features.
 
     Channel layout: geodesic block first, then geometric block.
     """
     return np.concatenate([
-        geodesic_forward(compute_geodesic_terms(mesh, adj, geo, abs_mode), params),
-        geometric_forward(compute_geometric_terms(mesh, adj, geo, abs_mode), params)],
+        geodesic_forward(compute_geodesic_terms(mesh, adj, geo), params),
+        geometric_forward(compute_geometric_terms(mesh, adj, geo), params)],
         axis=1)
 
 

@@ -29,12 +29,7 @@ class ModelConfig:
     convs_per_block: int = 2
     region_sizes: tuple[int, ...] = (3, 6, 9)
     t_schedule: tuple[int, ...] = (400, 300, 200)
-    abs_mode: str = "componentwise"
-    normalize_regions: bool = False
     use_activation: bool = True
-    # "linear": GAP then affine head; "channel_gap": last conv width must
-    # equal num_classes and the GAP output is the logit vector
-    head: str = "linear"
     seed: int = 0
 
     def __post_init__(self):
@@ -46,12 +41,6 @@ class ModelConfig:
         if min(self.num_classes, self.k_geo, self.k_geom,
                self.convs_per_block, min(self.block_channels)) < 1:
             raise ValueError("all sizes must be >= 1")
-        if self.head not in ("linear", "channel_gap"):
-            raise ValueError(f"unknown head {self.head!r} "
-                             "(expected 'linear' or 'channel_gap')")
-        if self.abs_mode not in ("componentwise", "norm"):
-            raise ValueError(f"unknown abs_mode {self.abs_mode!r} "
-                             "(expected 'componentwise' or 'norm')")
         if min(self.region_sizes) < 3:
             raise ValueError(f"region_sizes {self.region_sizes} has an entry below 3")
         if min(self.t_schedule) < 4:
@@ -79,7 +68,7 @@ class ModelConfig:
 class ModelParams:
     descriptor: desc.DescriptorParams
     conv_layers: list[convmod.ConvParams]
-    classifier_w: np.ndarray   # (num_classes, C_last); empty for channel_gap head
+    classifier_w: np.ndarray   # (num_classes, C_last)
     classifier_b: np.ndarray
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -98,7 +87,7 @@ def param_count(config: ModelConfig) -> int:
     for width in config.block_channels:
         n += 3 * c_in * width + width + (config.convs_per_block - 1) * (3 * width + 1) * width
         c_in = width
-    return n if config.head == "channel_gap" else n + config.num_classes * (c_in + 1)
+    return n + config.num_classes * (c_in + 1)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> ModelParams:
@@ -110,16 +99,9 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
         for _ in range(config.convs_per_block):
             layers.append(convmod.init_conv_params(c_in, width, rng))
             c_in = width
-    if config.head == "channel_gap":
-        if c_in != config.num_classes:
-            raise ValueError("channel_gap head requires last width == num_classes")
-        w = np.zeros((0, c_in))
-        bvec = np.zeros(0)
-    else:
-        s = 1.0 / np.sqrt(c_in)
-        w = rng.uniform(-s, s, size=(config.num_classes, c_in))
-        bvec = np.zeros(config.num_classes)
-    return ModelParams(dp, layers, w, bvec)
+    s = 1.0 / np.sqrt(c_in)
+    w = rng.uniform(-s, s, size=(config.num_classes, c_in))
+    return ModelParams(dp, layers, w, np.zeros(config.num_classes))
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
@@ -154,8 +136,8 @@ def precompute_static(mesh: Mesh, config: ModelConfig) -> StaticInputs:
     geo = compute_geometry(mesh)
     return StaticInputs(
         adjacency=adj, geometry=geo,
-        geo_terms=desc.compute_geodesic_terms(mesh, adj, geo, config.abs_mode),
-        geom_terms=desc.compute_geometric_terms(mesh, adj, geo, config.abs_mode),
+        geo_terms=desc.compute_geodesic_terms(mesh, adj, geo),
+        geom_terms=desc.compute_geometric_terms(mesh, adj, geo),
         first_regions=convmod.build_regions(adj, config.region_sizes[0]))
 
 
@@ -204,8 +186,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
             inputs.append(feats)
             feats, cache = convmod.conv_forward(
                 feats, regions, params.conv_layers[layer_idx],
-                activation=config.layer_activation(b, l),
-                normalize=config.normalize_regions, return_cache=True)
+                activation=config.layer_activation(b, l), return_cache=True)
             caches.append(cache)
             layer_idx += 1
         if replay is not None:
@@ -216,14 +197,9 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
         tape.blocks.append(BlockTape(regions=regions, conv_inputs=inputs,
                                      conv_caches=caches, pool=pooled))
         cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
-    gap = global_average_pool(feats)
     tape.gap_input = feats
-    tape.gap_output = gap
-    if config.head == "channel_gap":
-        logits = gap
-    else:
-        logits = params.classifier_w @ gap + params.classifier_b
-    return logits, tape
+    tape.gap_output = global_average_pool(feats)
+    return params.classifier_w @ tape.gap_output + params.classifier_b, tape
 
 
 def _replay_pool(feats: np.ndarray, recorded: poolmod.PooledMesh) -> poolmod.PooledMesh:
@@ -259,12 +235,9 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
                    grad_logits: np.ndarray) -> ModelParams:
     """Full parameter gradient by chaining the layer adjoints in reverse."""
     grads = zeros_like_params(params)
-    if config.head == "channel_gap":
-        grad_gap = grad_logits
-    else:
-        grads.classifier_w[:] = np.outer(grad_logits, tape.gap_output)
-        grads.classifier_b[:] = grad_logits
-        grad_gap = params.classifier_w.T @ grad_logits
+    grads.classifier_w[:] = np.outer(grad_logits, tape.gap_output)
+    grads.classifier_b[:] = grad_logits
+    grad_gap = params.classifier_w.T @ grad_logits
     F_last = tape.gap_input.shape[0]
     grad_feats = np.tile(grad_gap / F_last, (F_last, 1))
 
@@ -277,8 +250,8 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
             layer_idx -= 1
             grad_feats, gp = convmod.conv_backward(
                 bt.conv_inputs[l], bt.regions, params.conv_layers[layer_idx],
-                grad_feats, activation=config.layer_activation(b, l),
-                normalize=config.normalize_regions, cache=bt.conv_caches[l])
+                grad_feats, bt.conv_caches[l],
+                activation=config.layer_activation(b, l))
             grads.conv_layers[layer_idx] = gp
     dgrad = desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
                                      params.descriptor, grad_feats)
@@ -353,8 +326,6 @@ def grad_check(config: ModelConfig, mesh: Mesh, tolerance: float = 1e-3,
     report: dict = {"groups": {}, "step": step}
     max_err = 0.0
     for (name, arr), (_, g) in zip(params.named_arrays(), analytic.named_arrays()):
-        if arr.size == 0:
-            continue
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
         n = min(samples_per_group, flat.size)

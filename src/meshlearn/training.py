@@ -58,8 +58,6 @@ class SGDMomentum:
 
     def step(self, params: net.ModelParams, grads: net.ModelParams) -> None:
         for (name, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-            if p.size == 0:
-                continue
             g = g + self.weight_decay * p
             v = self.velocity.get(name)
             if v is None:
@@ -86,8 +84,6 @@ class Adam:
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for (name, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-            if p.size == 0:
-                continue
             g = g + self.weight_decay * p
             m = self.m.get(name, np.zeros_like(p))
             v = self.v.get(name, np.zeros_like(p))

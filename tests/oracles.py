@@ -229,24 +229,18 @@ def _oracle_gather_sums(features, regions):
     return idx, valid, diff, s1, s2
 
 
-def oracle_conv_forward(features, regions, params, activation=True,
-                        normalize=False):
+def oracle_conv_forward(features, regions, params, activation=True):
     """Returns (out, cache) of the three-term convolution."""
     idx, valid, diff, s1, s2 = _oracle_gather_sums(features, regions)
-    if normalize:
-        denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
-        s1, s2 = s1 / denom, s2 / denom
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
     return out, {"idx": idx, "valid": valid, "diff": diff, "s1": s1,
                  "s2": s2, "z": z}
 
 
-def oracle_conv_backward(features, regions, params, grad_out, activation=True,
-                         normalize=False):
+def oracle_conv_backward(features, regions, params, grad_out, activation=True):
     """Returns (grad_features, (grad_w0, grad_w1, grad_w2, grad_bias))."""
-    _, cache = oracle_conv_forward(features, regions, params,
-                                   activation=activation, normalize=normalize)
+    _, cache = oracle_conv_forward(features, regions, params, activation=activation)
     idx, valid, diff = cache["idx"], cache["valid"], cache["diff"]
     s1, s2, z = cache["s1"], cache["s2"], cache["z"]
     gz = grad_out * (z > 0) if activation else grad_out
@@ -258,9 +252,6 @@ def oracle_conv_backward(features, regions, params, grad_out, activation=True,
 
     h1 = gz @ params.w1
     h2 = gz @ params.w2
-    if normalize:
-        denom = np.maximum(regions.counts, 1).astype(np.float64)[:, None]
-        h1, h2 = h1 / denom, h2 / denom
     sign = np.sign(diff)
     grad_features = gz @ params.w0
     grad_features += h2 * sign.sum(axis=1)
@@ -475,14 +466,7 @@ def oracle_geometry(mesh: Mesh) -> GeometryCache:
     return GeometryCache(v[f].mean(axis=1), normals, 0.5 * norms, vnormals)
 
 
-def _oracle_abs(x: np.ndarray, abs_mode: str) -> np.ndarray:
-    if abs_mode == "componentwise":
-        return np.abs(x)
-    return np.repeat(np.linalg.norm(x, axis=-1, keepdims=True), 3, axis=-1)
-
-
-def oracle_geodesic_terms(mesh: Mesh, adj, geo: GeometryCache,
-                          abs_mode: str = "componentwise"):
+def oracle_geodesic_terms(mesh: Mesh, adj, geo: GeometryCache):
     """(pos_dev, vnormal, edge_pair_diff, slot_sums). For each vertex slot
     i, a stable argsort picks the two adjacency slots whose shared edge
     holds vertex i, in slot order; each gives the vector from vertex i to
@@ -504,14 +488,13 @@ def oracle_geodesic_terms(mesh: Mesh, adj, geo: GeometryCache,
         vecs = v[chosen_opp] - v[vi][:, None, :]
         vecs[nb[rows, slot_idx] == NONE] = 0.0
         evec[:, i] = vecs
-    edge_pair_diff = _oracle_abs(evec[:, :, 0] - evec[:, :, 1], abs_mode)
+    edge_pair_diff = np.abs(evec[:, :, 0] - evec[:, :, 1])
     slot_sums = np.stack([x.sum(axis=1) for x in (pos_dev, vnormal, edge_pair_diff)],
                          axis=1)
     return pos_dev, vnormal, edge_pair_diff, slot_sums
 
 
-def oracle_geometric_terms(adj, geo: GeometryCache,
-                           abs_mode: str = "componentwise") -> np.ndarray:
+def oracle_geometric_terms(adj, geo: GeometryCache) -> np.ndarray:
     """(F, 4, 3): centroid, normal, and the neighbor sums (``sum(axis=1)``)
     of |centroid difference| and |normal cross product|, zero across a
     border."""
@@ -519,9 +502,9 @@ def oracle_geometric_terms(adj, geo: GeometryCache,
     safe_nb = np.where(nb == NONE, 0, nb)
     missing = (nb == NONE)[:, :, None]
     c, n = geo.face_centroids, geo.face_normals
-    cdiff = np.where(missing, 0.0, _oracle_abs(c[:, None, :] - c[safe_nb], abs_mode))
+    cdiff = np.where(missing, 0.0, np.abs(c[:, None, :] - c[safe_nb]))
     ncross = np.cross(np.broadcast_to(n[:, None, :], safe_nb.shape + (3,)), n[safe_nb])
-    ncross = np.where(missing, 0.0, _oracle_abs(ncross, abs_mode))
+    ncross = np.where(missing, 0.0, np.abs(ncross))
     return np.stack([c, n, cdiff.sum(axis=1), ncross.sum(axis=1)], axis=1)
 
 

@@ -80,6 +80,27 @@ def test_digest_stable_across_saves(tmp_path):
     assert checkpoint_digest(p1) != checkpoint_digest(p2)
 
 
+def test_retired_keys_at_their_value_load(tmp_path):
+    """A config that also stores the retired keys at the one value each now
+    fixes, as checkpoints written before their retirement do, loads to the
+    same config and arrays."""
+    config = small_config()
+    params = _params(config)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, params, config)
+    data = open(path, "rb").read()
+    (cfg_len,) = struct.unpack_from("<Q", data, 8)
+    cfg = json.loads(data[16:16 + cfg_len])
+    cfg.update(abs_mode="componentwise", normalize_regions=False, head="linear")
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + cfg_len:])
+    loaded, loaded_config = load_checkpoint(path, expected_config=config)
+    assert loaded_config == config
+    for (na, a), (nb, b) in zip(params.named_arrays(), loaded.named_arrays()):
+        assert na == nb and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # Each malformed checkpoint, with the message its CheckpointError carries.
 DEFECTS = {
     "unknown_dtype": "dtype code 7",
@@ -88,8 +109,10 @@ DEFECTS = {
     "trailing_bytes": "8 trailing bytes",
     "missing_conv_layers": "names, shapes",
     "non_utf8_name": "names, shapes",
-    "unknown_head": "unknown head 'foo'",
-    "unknown_abs_mode": "unknown abs_mode 'foo'",
+    # the retired keys, each at a value other than the one it now fixes
+    "unknown_head": "key 'head' is 'channel_gap'; only 'linear' is supported",
+    "unknown_abs_mode": "key 'abs_mode' is 'norm'; only 'componentwise' is supported",
+    "unknown_normalize_regions": "key 'normalize_regions' is True; only False is supported",
     "region_size_below_3": r"region_sizes \S.* has an entry below 3",
     "t_schedule_below_4": r"t_schedule \S.* has an entry below 4",
     "negative_seed": "seed must be >= 0",
@@ -129,9 +152,11 @@ def write_malformed(path, defect):
     elif defect == "trailing_bytes":
         rest += bytes(8)
     elif defect == "unknown_head":
-        cfg["head"] = "foo"
+        cfg["head"] = "channel_gap"
     elif defect == "unknown_abs_mode":
-        cfg["abs_mode"] = "foo"
+        cfg["abs_mode"] = "norm"
+    elif defect == "unknown_normalize_regions":
+        cfg["normalize_regions"] = True
     elif defect == "region_size_below_3":
         cfg["region_sizes"][0] = 2
     elif defect == "t_schedule_below_4":

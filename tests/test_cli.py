@@ -225,8 +225,10 @@ def test_train_malformed_config_line(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("block_channels = a b c", "block_channels = 'a b c' is not a tuple"),
     ("use_activation = banana", "use_activation = 'banana' is not a bool"),
-    ("head = foo", "unknown head 'foo'"),
-    ("abs_mode = foo", "unknown abs_mode 'foo'"),
+    # retired model keys, even at the one value the model now fixes
+    ("head = linear", "unknown config key 'head'"),
+    ("abs_mode = componentwise", "unknown config key 'abs_mode'"),
+    ("normalize_regions = false", "unknown config key 'normalize_regions'"),
     ("region_sizes = 2 6 9", "region_sizes (2, 6, 9) has an entry below 3"),
     ("train.epochs = 0", "epochs must be >= 1"),
     ("train.epochs = -3", "epochs must be >= 1"),
@@ -253,6 +255,11 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("num_classes = 2", "num_classes = 2 but the data has 3 classes"),
     ("synthetic.face_band = 80 81", "face band [80, 81] unreachable for class 'box'"),
     ("synthetic.classes = ,", "no synthetic classes"),
+    # beyond SeedSequence.spawn's range, and a band of ~3e8 box resolutions
+    ("synthetic.samples_per_class = 99999999999999999999999",
+     "3 classes x 99999999999999999999999 samples exceeds 1000000 synthetic samples"),
+    ("synthetic.face_band = 420 1000000000000000000",
+     "face band upper bound 1000000000000000000 exceeds 10000000"),
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size", "epochs_zero",
         "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
         "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
@@ -260,7 +267,8 @@ def test_train_malformed_config_line(tmp_path, capsys):
         "weight_decay_inf", "weight_decay_nan", "weight_decay_negative", "jitter_nan",
         "jitter_1e999", "synthetic_seed_negative", "train_seed_negative",
         "model_seed_negative", "t_schedule_below_4", "num_classes_below_data",
-        "face_band_unreachable", "no_synthetic_classes"])
+        "face_band_unreachable", "no_synthetic_classes", "normalize_regions",
+        "samples_per_class_huge", "face_band_huge"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):
@@ -418,6 +426,35 @@ def test_bench_small_run(tmp_path, capsys):
 def test_bench_batch_zero_error(capsys):
     assert run(["bench", "--batch", "0"]) == 2
     assert ">= 1" in capsys.readouterr().err
+
+
+HUGE = "1" + "0" * 400   # beyond float range: int(HUGE * 0.85) overflows
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--faces", HUGE], "argument --faces: must be <= 1000000"),
+    (["gradcheck", "--faces", HUGE], "argument --faces: must be <= 1000000"),
+    (["bench", "--faces", "1000001"], "argument --faces: must be <= 1000000, got 1000001"),
+    (["gradcheck", "--faces", "0"], "argument --faces: must be >= 1, got 0"),
+    (["bench", "--faces", "many"], "argument --faces: invalid face_count value: 'many'"),
+    (["bench", "--batch", "3000001"],
+     "3 classes x 1000001 samples exceeds 1000000 synthetic samples"),
+    (["bench", "--batch", HUGE], "exceeds 1000000 synthetic samples"),
+], ids=["bench_faces_huge", "gradcheck_faces_huge", "bench_faces_above_bound",
+        "gradcheck_faces_zero", "bench_faces_not_int", "bench_batch_above_bound",
+        "bench_batch_huge"])
+def test_bench_and_gradcheck_sizes_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the sizes were checked")
+
+    monkeypatch.setattr(cli.benchmod, "generate_synthetic", no_data)
+    monkeypatch.setattr(cli, "generate_synthetic", no_data)
+    if argv[0] == "bench":
+        argv = argv + ["--report", str(tmp_path / "bench.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "bench.csv")
 
 
 def test_gradcheck_default_pass(capsys):

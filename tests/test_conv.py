@@ -192,11 +192,18 @@ def test_forward_shape_errors(rng):
 # backward
 
 
+def backward(feats, regions, params, grad_out, activation=True):
+    """``conv_backward`` given the cache of a fresh forward pass."""
+    _, cache = conv_forward(feats, regions, params, activation=activation,
+                            return_cache=True)
+    return conv_backward(feats, regions, params, grad_out, cache, activation=activation)
+
+
 def test_backward_zero_grad(rng):
     regions = build_regions(build_adjacency(tetrahedron()), 3)
     feats = rng.normal(size=(4, 3))
     params = init_conv_params(3, 2, rng)
-    gf, gp = conv_backward(feats, regions, params, np.zeros((4, 2)))
+    gf, gp = backward(feats, regions, params, np.zeros((4, 2)))
     assert np.abs(gf).max() == 0.0
     assert all(np.abs(a).max() == 0.0 for _, a in
                [("w0", gp.w0), ("w1", gp.w1), ("w2", gp.w2), ("b", gp.bias)])
@@ -209,14 +216,14 @@ def test_backward_w1_only_scatter(rng):
     params = ConvParams(np.zeros((2, 3)), w1, np.zeros((2, 3)), np.zeros(2))
     grad_out = np.zeros((4, 2))
     grad_out[0] = [1.0, 0.0]
-    gf, _ = conv_backward(feats, regions, params, grad_out, activation=False)
+    gf, _ = backward(feats, regions, params, grad_out, activation=False)
     expect = np.zeros((4, 3))
     for g in regions.row(0):
         expect[g] = w1[0]
     assert np.allclose(gf, expect, atol=1e-15)
 
 
-def _fd_check(mesh_builder, normalize, seed=7, tol=1e-4, step=1e-5):
+def _fd_check(mesh_builder, seed=7, tol=1e-4, step=1e-5):
     rng = np.random.default_rng(seed)
     mesh = jitter_mesh(mesh_builder(), rng)
     regions = build_regions(build_adjacency(mesh), 6)
@@ -224,15 +231,13 @@ def _fd_check(mesh_builder, normalize, seed=7, tol=1e-4, step=1e-5):
     feats = rng.normal(size=(F, 3))
     params = init_conv_params(3, 2, rng)
     grad_out = rng.normal(size=(F, 2))
-    _, cache = conv_forward(feats, regions, params, normalize=normalize,
-                            return_cache=True)
+    _, cache = conv_forward(feats, regions, params, return_cache=True)
     # kink check: keep away from abs/ReLU non-differentiability
     assert np.abs(cache["diff"][cache["valid"]]).min() > 1e-7
-    gf, gp = conv_backward(feats, regions, params, grad_out, normalize=normalize)
+    gf, gp = conv_backward(feats, regions, params, grad_out, cache)
 
     def loss(fe, pa):
-        return float(np.sum(grad_out * conv_forward(fe, regions, pa,
-                                                    normalize=normalize)))
+        return float(np.sum(grad_out * conv_forward(fe, regions, pa)))
 
     checks = [(feats, gf), (params.w0, gp.w0), (params.w1, gp.w1),
               (params.w2, gp.w2), (params.bias, gp.bias)]
@@ -251,19 +256,16 @@ def _fd_check(mesh_builder, normalize, seed=7, tol=1e-4, step=1e-5):
 
 
 def test_backward_finite_differences():
-    _fd_check(lambda: torus(6, 4), normalize=False)
-
-
-def test_backward_finite_differences_normalized():
-    _fd_check(lambda: torus(6, 4), normalize=True)
+    _fd_check(lambda: torus(6, 4))
 
 
 def test_backward_grad_shape_mismatch(rng):
     regions = build_regions(build_adjacency(tetrahedron()), 3)
     params = init_conv_params(3, 2, rng)
+    feats = rng.normal(size=(4, 3))
+    _, cache = conv_forward(feats, regions, params, return_cache=True)
     with pytest.raises(ValueError, match="grad_out"):
-        conv_backward(rng.normal(size=(4, 3)), regions, params,
-                      np.zeros((4, 3)))
+        conv_backward(feats, regions, params, np.zeros((4, 3)), cache)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +293,8 @@ def _signed_zeros(x, rng):
     return x
 
 
-@pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("activation", [False, True])
-def test_conv_matches_oracle_bytes(normalize, activation):
+def test_conv_matches_oracle_bytes(activation):
     rng = np.random.default_rng(11)
     for (mesh, K), C in itertools.product(_oracle_cases(), (1, 2, 5)):
         adj = build_adjacency(mesh)
@@ -309,15 +310,13 @@ def test_conv_matches_oracle_bytes(normalize, activation):
         quiet[sorted(first)] = -0.0
         for grad_out in (_signed_zeros(rng.normal(size=(F, 4)), rng), quiet):
             out, cache = conv_forward(feats, regions, params, activation=activation,
-                                      normalize=normalize, return_cache=True)
+                                      return_cache=True)
             ref_out, ref_cache = oracle_conv_forward(
-                feats, regions, params, activation=activation, normalize=normalize)
-            gf, gp = conv_backward(feats, regions, params, grad_out,
-                                   activation=activation, normalize=normalize,
-                                   cache=cache)
+                feats, regions, params, activation=activation)
+            gf, gp = conv_backward(feats, regions, params, grad_out, cache,
+                                   activation=activation)
             ref_gf, ref_gp = oracle_conv_backward(
-                feats, regions, params, grad_out, activation=activation,
-                normalize=normalize)
+                feats, regions, params, grad_out, activation=activation)
             assert out.tobytes() == ref_out.tobytes()
             assert cache["diff"].tobytes() == ref_cache["diff"].tobytes()
             assert cache["z"].tobytes() == ref_cache["z"].tobytes()
@@ -343,7 +342,7 @@ def test_conv_backward_bordered_matches_oracle_bytes():
         params = init_conv_params(C, 3, rng)
         for _ in range(2):
             grad_out = _signed_zeros(rng.normal(size=(F, 3)), rng)
-            gf, gp = conv_backward(feats, regions, params, grad_out)
+            gf, gp = backward(feats, regions, params, grad_out)
             ref_gf, ref_gp = oracle_conv_backward(feats, regions, params, grad_out)
             assert gf.tobytes() == ref_gf.tobytes()
             for got, ref in zip((gp.w0, gp.w1, gp.w2, gp.bias), ref_gp):

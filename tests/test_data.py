@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from meshlearn.core import MeshError, euler_characteristic, save_off, validate_mesh
-from meshlearn.data import (Dataset, Sample, SyntheticSpec, generate_synthetic,
+from meshlearn import data
+from meshlearn.data import (MAX_SYNTHETIC_FACES, MAX_SYNTHETIC_SAMPLES, Dataset,
+                            Sample, SyntheticSpec, generate_synthetic,
                             load_dataset, make_splits, write_dataset)
 
 from conftest import single_triangle, tetrahedron
@@ -156,6 +158,25 @@ def test_synthetic_spec_validation():
     # checked on the spec, before generate_synthetic is reached
     with pytest.raises(ValueError, match=r"face band \[80, 81\] unreachable for class 'box'"):
         SyntheticSpec(face_band=(80, 81))
+
+
+def test_synthetic_spec_bounds_checked_before_resolutions(monkeypatch):
+    def no_options(*args):
+        raise AssertionError("resolutions listed before the bounds were checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(data, "_resolution_options", no_options)
+        with pytest.raises(ValueError, match="3 classes x 333334 samples exceeds 1000000"):
+            SyntheticSpec(samples_per_class=333334)
+        with pytest.raises(ValueError, match="exceeds 1000000 synthetic samples"):
+            SyntheticSpec(samples_per_class=10**23)
+        with pytest.raises(ValueError, match="upper bound 10000001 exceeds 10000000"):
+            SyntheticSpec(face_band=(420, MAX_SYNTHETIC_FACES + 1))
+        with pytest.raises(ValueError, match="upper bound 10{18} exceeds"):
+            SyntheticSpec(face_band=(420, 10**18))
+    # both limits are allowed
+    SyntheticSpec(classes=("box",), samples_per_class=MAX_SYNTHETIC_SAMPLES,
+                  face_band=(12, MAX_SYNTHETIC_FACES))
 
 
 def test_default_band_hits_about_500_faces():

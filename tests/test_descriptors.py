@@ -109,7 +109,6 @@ ORACLE_MESHES = {
 }
 PROPERTY_MESHES = list(ORACLE_MESHES.values()) + [
     box(1), torus(5, 3), flip_edges(box(2), np.random.default_rng(3), 20)]
-ABS_MODES = ("componentwise", "norm")
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -118,32 +117,31 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-def assert_stages_match_oracles(mesh, abs_mode, params):
+def assert_stages_match_oracles(mesh, params):
     adj = build_adjacency(mesh)
     geo = compute_geometry(mesh)
     want_geo = oracle_geometry(mesh)
     for name in ("face_centroids", "face_normals", "face_areas", "vertex_normals"):
         assert_same_bits(getattr(geo, name), getattr(want_geo, name))
-    terms = compute_geodesic_terms(mesh, adj, geo, abs_mode)
-    want = oracle_geodesic_terms(mesh, adj, geo, abs_mode)
+    terms = compute_geodesic_terms(mesh, adj, geo)
+    want = oracle_geodesic_terms(mesh, adj, geo)
     for got, expect in zip((terms.pos_dev, terms.vnormal, terms.edge_pair_diff,
                             terms.slot_sums), want):
         assert_same_bits(got, expect)
-    gterms = compute_geometric_terms(mesh, adj, geo, abs_mode)
-    assert_same_bits(gterms, oracle_geometric_terms(adj, geo, abs_mode))
+    gterms = compute_geometric_terms(mesh, adj, geo)
+    assert_same_bits(gterms, oracle_geometric_terms(adj, geo))
     assert_same_bits(geodesic_forward(terms, params),
                      oracle_kernel_forward(params.geo, want[3]))
     assert_same_bits(geometric_forward(gterms, params),
                      oracle_kernel_forward(params.geom, gterms))
 
 
-@pytest.mark.parametrize("abs_mode", ABS_MODES)
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
-def test_descriptor_stages_bit_equal_oracles(name, abs_mode):
+def test_descriptor_stages_bit_equal_oracles(name):
     params = init_descriptor_params(4, 3, np.random.default_rng(11))
     params.geo[1] = 0.0   # all-zero kernels: einsum starts them from +0.0
     params.geom[2] = 0.0
-    assert_stages_match_oracles(ORACLE_MESHES[name], abs_mode, params)
+    assert_stages_match_oracles(ORACLE_MESHES[name], params)
 
 
 def test_vertex_normal_fallback_reached():
@@ -167,7 +165,7 @@ def test_descriptor_stages_match_oracles_property(data):
     params = init_descriptor_params(k_geo, k_geom, rng)
     params.geo[data.draw(st.lists(st.booleans(), min_size=k_geo, max_size=k_geo))] = 0.0
     params.geom[data.draw(st.lists(st.booleans(), min_size=k_geom, max_size=k_geom))] = 0.0
-    assert_stages_match_oracles(mesh, data.draw(st.sampled_from(ABS_MODES)), params)
+    assert_stages_match_oracles(mesh, params)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +252,6 @@ def test_border_robustness_single_triangle():
     params = init_descriptor_params(3, 3, np.random.default_rng(1))
     out = descriptor_forward(mesh, adj, geo, params)
     assert np.isfinite(out).all()
-
-
-def test_abs_mode_norm_variant(rng):
-    mesh = jitter_mesh(icosahedron(), rng)
-    adj, geo = _inputs(mesh)
-    b2 = DescriptorParams(geo=[[0.0] * 3], geom=[[0.0, 0, 1, 0]])
-    out = geometric_forward(compute_geometric_terms(mesh, adj, geo, abs_mode="norm"), b2)
-    # norm mode broadcasts a scalar per neighbor: all 3 components equal
-    assert np.allclose(out[:, 0], out[:, 1]) and np.allclose(out[:, 1], out[:, 2])
-    with pytest.raises(ValueError, match="abs_mode"):
-        compute_geometric_terms(mesh, adj, geo, abs_mode="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -54,22 +54,11 @@ def test_init_params_channel_chain():
 
 @pytest.mark.parametrize("kw", [
     {}, dict(convs_per_block=3, block_channels=(8, 16, 4)), dict(convs_per_block=1),
-    dict(head="channel_gap", block_channels=(8, 8, 3)), dict(k_geo=1, k_geom=5)])
+    dict(num_classes=5, block_channels=(8, 8, 3)), dict(k_geo=1, k_geom=5)])
 def test_param_count_matches_init_params(kw):
     config = small_config(**kw)
     params = net.init_params(config)
     assert net.param_count(config) == sum(a.size for _, a in params.named_arrays())
-
-
-def test_channel_gap_head_requires_matching_width():
-    with pytest.raises(ValueError, match="num_classes"):
-        net.init_params(small_config(head="channel_gap"))
-    config = small_config(head="channel_gap", block_channels=(8, 8, 3))
-    params = net.init_params(config)
-    assert params.classifier_w.size == 0
-    logits, tape = net.model_forward(small_mesh(), params, config)
-    assert logits.shape == (3,)
-    assert np.array_equal(logits, tape.gap_output)
 
 
 # ---------------------------------------------------------------------------
