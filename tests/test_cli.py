@@ -260,15 +260,15 @@ def test_train_malformed_config_line(tmp_path, capsys):
      "3 classes x 99999999999999999999999 samples exceeds 1000000 synthetic samples"),
     ("synthetic.face_band = 420 1000000000000000000",
      "face band upper bound 1000000000000000000 exceeds 10000000"),
-], ids=["int_tuple", "bool_word", "head", "abs_mode", "region_size", "epochs_zero",
-        "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
+], ids=["int_tuple", "bool_word", "head", "abs_mode", "normalize_regions", "region_size",
+        "epochs_zero", "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
         "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
         "learning_rate_1e999", "momentum_nan", "momentum_1e999", "momentum_negative",
         "weight_decay_inf", "weight_decay_nan", "weight_decay_negative", "jitter_nan",
         "jitter_1e999", "synthetic_seed_negative", "train_seed_negative",
         "model_seed_negative", "t_schedule_below_4", "num_classes_below_data",
-        "face_band_unreachable", "no_synthetic_classes", "normalize_regions",
-        "samples_per_class_huge", "face_band_huge"])
+        "face_band_unreachable", "no_synthetic_classes", "samples_per_class_huge",
+        "face_band_huge"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):
