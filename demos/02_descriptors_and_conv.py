@@ -29,7 +29,7 @@ regions = build_regions(adj, kernel_size=6)
 print("face 0 region:", regions.row(0))
 
 conv = init_conv_params(24, 16, rng)
-out = conv_forward(feats, regions, conv)
+out, _ = conv_forward(feats, regions, conv)
 print("conv output:", out.shape)
 
 # order invariance: shuffling every region row leaves the output bit-equal
@@ -39,4 +39,4 @@ for f in range(members.shape[0]):
     members[f, :n] = rng.permutation(members[f, :n])
 shuffled = RegionTable(regions.kernel_size, members, regions.counts.copy())
 print("order-invariant (bit-identical):",
-      np.array_equal(conv_forward(feats, shuffled, conv), out))
+      np.array_equal(conv_forward(feats, shuffled, conv)[0], out))

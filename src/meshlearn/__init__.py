@@ -18,7 +18,7 @@ from .pooling import (PoolPlan, PoolRegion, PooledMesh, apply_pass,
 from .network import (ModelConfig, ModelParams, cross_entropy_loss,
                       global_average_pool, grad_check, init_params,
                       model_backward, model_forward, precompute_static)
-from .training import Adam, SGDMomentum, TrainConfig, train
+from .training import Adam, TrainConfig, train
 from .checkpoint import (CheckpointError, checkpoint_digest, load_checkpoint,
                          save_checkpoint)
 from .data import (Dataset, Sample, SyntheticSpec, box, generate_synthetic,

@@ -21,6 +21,8 @@ from . import pooling as poolmod
 from .data import SyntheticSpec, generate_synthetic
 
 PHASES = ("descriptor", "conv", "pool")
+# Region size of the timed conv layer
+KERNEL_SIZE = 6
 
 
 @dataclass
@@ -62,7 +64,7 @@ def _peak_rss_mb() -> float | None:
         return None
 
 
-def _mesh_work(item, params, config, kernel_size):
+def _mesh_work(item, params, config):
     """One mesh through the three phases; returns timings and a checksum."""
     mesh, static = item
     F = mesh.num_faces
@@ -75,9 +77,9 @@ def _mesh_work(item, params, config, kernel_size):
     t["descriptor"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    regions = convmod.build_regions(static.adjacency, kernel_size)
+    regions = convmod.build_regions(static.adjacency, KERNEL_SIZE)
     conv = params.conv_layers[0]
-    out, cache = convmod.conv_forward(feats, regions, conv, return_cache=True)
+    out, cache = convmod.conv_forward(feats, regions, conv)
     gf, _ = convmod.conv_backward(feats, regions, conv, np.ones_like(out), cache)
     t["conv"] = time.perf_counter() - t0
 
@@ -94,7 +96,7 @@ def _mesh_work(item, params, config, kernel_size):
 
 
 def run_benchmark(faces: int = 500, batch_size: int = 50, num_batches: int = 50,
-                  seed: int = 0, kernel_size: int = 6) -> BenchReport:
+                  seed: int = 0) -> BenchReport:
     """Time descriptor/conv/pool forward+backward over repeated batches."""
     if batch_size < 1 or num_batches < 1:
         raise ValueError("batch size and batch count must be >= 1")
@@ -112,7 +114,7 @@ def run_benchmark(faces: int = 500, batch_size: int = 50, num_batches: int = 50,
     for b in range(num_batches):
         sums = {p: 0.0 for p in PHASES}
         for item in items:
-            t, frac, cs = _mesh_work(item, params, config, kernel_size)
+            t, frac, cs = _mesh_work(item, params, config)
             for p in PHASES:
                 sums[p] += t[p]
             if b == 0:

@@ -16,9 +16,8 @@ Byte layout (all integers little-endian, floats IEEE-754 little-endian):
 
 Round-trips are bit-exact. Loading verifies magic, version, truncation
 and trailing bytes, that the config holds exactly the ``ModelConfig``
-fields (plus ``RETIRED_KEYS`` at their one value), that the arrays have
-the names, shapes and dtype that config needs, and optionally that the
-config equals an expected one.
+fields (plus ``RETIRED_KEYS`` at their one value), and that the arrays
+have the names, shapes and dtype that config needs.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ def save_checkpoint(path: str, params: net.ModelParams,
         fh.write(bytes(out))
 
 
-def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
-    """Returns (params, config). Raises CheckpointError on bad files or a
-    config mismatch against ``expected_config``."""
+def load_checkpoint(path: str):
+    """Returns (params, config). Raises CheckpointError on bad files."""
     with open(path, "rb") as fh:
         data = fh.read()
     view = memoryview(data)
@@ -95,8 +93,6 @@ def load_checkpoint(path: str, expected_config: net.ModelConfig | None = None):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<Q", take(8))
     config = _config_from_json(bytes(take(cfg_len)))
-    if expected_config is not None and _config_dict(expected_config) != _config_dict(config):
-        raise CheckpointError("checkpoint config does not match expected config")
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -200,17 +200,12 @@ def cmd_eval(args) -> int:
     samples = [s for s in dataset.samples if args.split in (None, s.split)]
     if not samples:
         raise MeshError(f"no samples in split {args.split!r}")
-    prepared = training._prepare([(s.mesh, s.class_id) for s in samples], config)
-    per_class = {c: [] for c in range(dataset.num_classes)}
-    for item in prepared:
-        hit = training._predict(item, params, config)
-        per_class[item[1]].append(hit)
-    total = []
-    for cid, hits in per_class.items():
-        if hits:
-            print(f"class={dataset.class_names[cid]} acc={np.mean(hits):.4f} n={len(hits)}")
-            total.extend(hits)
-    print(f"overall_acc={np.mean(total):.4f} n={len(total)}")
+    prepared = training.prepare([(s.mesh, s.class_id) for s in samples], config)
+    hits = training.evaluate(prepared, params, config)
+    for cid, name in enumerate(dataset.class_names):
+        if class_hits := [h for s, h in zip(samples, hits) if s.class_id == cid]:
+            print(f"class={name} acc={np.mean(class_hits):.4f} n={len(class_hits)}")
+    print(f"overall_acc={np.mean(hits):.4f} n={len(hits)}")
     return EXIT_OK
 
 
@@ -249,6 +244,14 @@ def positive_int(raw: str) -> int:
     if int(raw) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
     return int(raw)
+
+
+def tolerance(raw: str) -> float:
+    """A finite value > 0; any other makes every gradient check fail."""
+    value = float(raw)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {raw}")
+    return value
 
 
 def face_count(raw: str) -> int:
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient check")
     sp.add_argument("--faces", type=face_count, default=60)
-    sp.add_argument("--tolerance", type=float, default=1e-3)
+    sp.add_argument("--tolerance", type=tolerance, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--linear", action="store_true",
                     help="abs-free configuration (tolerance 1e-6 territory)")

@@ -152,8 +152,8 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
 
 
 def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
-                 activation: bool = True, return_cache: bool = False):
-    """Apply the three-term convolution; optionally keep a backward cache."""
+                 activation: bool = True) -> tuple[np.ndarray, dict]:
+    """Apply the three-term convolution; returns (out, backward cache)."""
     if features.shape[0] != regions.num_faces:
         raise ValueError("features row count does not match region table")
     if features.shape[1] != params.in_channels:
@@ -167,10 +167,8 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     s2 = _slot_sum(np.abs(diff))
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
-    if return_cache:
-        return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2),
-                     "s1": s1, "s2": s2, "z": z}
-    return out
+    return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2),
+                 "s1": s1, "s2": s2, "z": z}
 
 
 def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams,

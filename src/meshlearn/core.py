@@ -300,7 +300,7 @@ def load_obj(source) -> Mesh:
                 np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
-def load_mesh(source, fmt: str | None = None) -> Mesh:
+def load_mesh(source) -> Mesh:
     """Load a mesh from a path, byte stream or string; OFF or OBJ."""
     name = None
     if isinstance(source, (str,)) and "\n" not in source:
@@ -312,25 +312,17 @@ def load_mesh(source, fmt: str | None = None) -> Mesh:
         data = source.read()
     else:
         data = source
-    if fmt is None:
-        if name is not None and name.lower().endswith(".obj"):
-            fmt = "OBJ"
-        elif name is not None and name.lower().endswith(".off"):
-            fmt = "OFF"
-        else:
-            # OFF when the first line that is not blank or a "#" comment
-            # starts with OFF, as load_off reads it
-            data = _text(data)
-            first = next(filter(None, (ln.split("#", 1)[0].strip()
-                                       for ln in data.splitlines())), "")
-            fmt = "OFF" if first.startswith("OFF") else "OBJ"
-    fmt = fmt.upper()
-    if fmt == "OFF":
-        mesh = load_off(data)
-    elif fmt == "OBJ":
-        mesh = load_obj(data)
+    ext = name.lower()[-4:] if name is not None else ""
+    if ext in (".off", ".obj"):
+        is_off = ext == ".off"
     else:
-        raise MeshError(f"unsupported format {fmt!r}")
+        # OFF when the first line that is not blank or a "#" comment
+        # starts with OFF, as load_off reads it
+        data = _text(data)
+        first = next(filter(None, (ln.split("#", 1)[0].strip()
+                                   for ln in data.splitlines())), "")
+        is_off = first.startswith("OFF")
+    mesh = load_off(data) if is_off else load_obj(data)
     if name is not None:
         mesh.name = name
     return mesh

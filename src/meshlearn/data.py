@@ -3,9 +3,9 @@ mesh generation (icosphere / box / torus).
 
 Synthetic generation is deterministic: one child seed per sample, spawned
 from the dataset seed, so results are independent of generation order.
-Random rigid transforms draw uniform rotations from normalized Gaussian
-quaternions; vertex jitter is uniform per component, scaled by the mesh
-bounding radius.
+Every sample is posed by a random rigid transform, whose uniform rotation
+comes from a normalized Gaussian quaternion; vertex jitter is uniform per
+component, scaled by the mesh bounding radius.
 """
 
 from __future__ import annotations
@@ -277,7 +277,6 @@ class SyntheticSpec:
     samples_per_class: int = 10
     face_band: tuple[int, int] = (420, 560)
     jitter: float = 0.01
-    rigid: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -322,9 +321,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             sample_seed = int(child.generate_state(1)[0])
             rng = np.random.default_rng(child)
             mesh = _build(options[cls][int(rng.integers(len(options[cls])))])
-            verts = mesh.vertices
-            if spec.rigid:
-                verts = verts @ random_rotation(rng).T + rng.uniform(-1, 1, size=3)
+            verts = mesh.vertices @ random_rotation(rng).T + rng.uniform(-1, 1, size=3)
             if spec.jitter > 0:
                 radius = float(np.linalg.norm(
                     verts - verts.mean(axis=0), axis=1).max())

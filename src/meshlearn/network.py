@@ -19,6 +19,11 @@ from . import descriptors as desc
 from . import pooling as poolmod
 from .core import AdjacencyMatrix, GeometryCache, Mesh, build_adjacency, compute_geometry
 
+# Most elements ``init_params`` may allocate for one config (800 MB of float64)
+MAX_PARAMS = 10**8
+# grad_check's first finite-difference step and coordinates probed per group
+GRAD_CHECK_STEP, GRAD_CHECK_SAMPLES = 1e-5, 12
+
 
 @dataclass
 class ModelConfig:
@@ -47,6 +52,8 @@ class ModelConfig:
             raise ValueError(f"t_schedule {self.t_schedule} has an entry below 4")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if (n := param_count(self)) > MAX_PARAMS:
+            raise ValueError(f"{n} parameters exceed the budget of {MAX_PARAMS}")
 
     @property
     def num_blocks(self) -> int:
@@ -146,7 +153,7 @@ class BlockTape:
     regions: convmod.RegionTable
     conv_inputs: list[np.ndarray]
     conv_caches: list[dict]
-    pool: poolmod.PooledMesh | None
+    pool: poolmod.PooledMesh
 
 
 @dataclass
@@ -186,7 +193,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
             inputs.append(feats)
             feats, cache = convmod.conv_forward(
                 feats, regions, params.conv_layers[layer_idx],
-                activation=config.layer_activation(b, l), return_cache=True)
+                activation=config.layer_activation(b, l))
             caches.append(cache)
             layer_idx += 1
         if replay is not None:
@@ -244,8 +251,7 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
     layer_idx = len(params.conv_layers)
     for b in range(config.num_blocks - 1, -1, -1):
         bt = tape.blocks[b]
-        if bt.pool is not None:
-            grad_feats = poolmod.pooling_backward(bt.pool.passes, grad_feats)
+        grad_feats = poolmod.pooling_backward(bt.pool.passes, grad_feats)
         for l in range(config.convs_per_block - 1, -1, -1):
             layer_idx -= 1
             grad_feats, gp = convmod.conv_backward(
@@ -284,8 +290,7 @@ def _crosses_kink(base: list[np.ndarray], probe: list[np.ndarray]) -> bool:
 
 
 def grad_check(config: ModelConfig, mesh: Mesh, tolerance: float = 1e-3,
-               rng: np.random.Generator | None = None, step: float = 1e-5,
-               samples_per_group: int = 12, linear_only: bool = False) -> dict:
+               linear_only: bool = False) -> dict:
     """Compare analytic parameter gradients with central finite differences.
 
     Uses the scalar loss <logits, r> for a fixed random projection r, with
@@ -294,18 +299,19 @@ def grad_check(config: ModelConfig, mesh: Mesh, tolerance: float = 1e-3,
     abs/ReLU argument on the other side of its kink than the unperturbed
     pass, that coordinate's step is divided by 10 and the probes are
     repeated; a coordinate that crosses a kink at every step down to
-    ``step`` / 1000 counts as an infinite error. Returns a report mapping
-    parameter-group names to their max relative error, plus
+    ``GRAD_CHECK_STEP`` / 1000 counts as an infinite error. Returns a
+    report mapping parameter-group names to their max relative error, plus
     "max_error"/"passed"/"tolerance" and "step", the smallest step used.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
+    step = GRAD_CHECK_STEP
     if linear_only:
         # abs-free configuration: no ReLU, no abs-difference conv term.
         # The loss is then exactly linear in every parameter, so a larger
         # step only reduces roundoff in the central difference, and no
         # kink needs testing.
         config = dataclasses.replace(config, use_activation=False)
-        step = max(step, 1e-3)
+        step = 1e-3
     params = init_params(config, rng)
     if linear_only:
         for cp in params.conv_layers:
@@ -328,7 +334,7 @@ def grad_check(config: ModelConfig, mesh: Mesh, tolerance: float = 1e-3,
     for (name, arr), (_, g) in zip(params.named_arrays(), analytic.named_arrays()):
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
-        n = min(samples_per_group, flat.size)
+        n = min(GRAD_CHECK_SAMPLES, flat.size)
         # bias sampling toward the largest analytic entries, plus random picks
         by_mag = np.argsort(-np.abs(gflat))[: max(1, n // 2)]
         rand = rng.choice(flat.size, size=n, replace=False)

@@ -1,4 +1,4 @@
-"""Optimizers and the training loop.
+"""The Adam optimizer and the training loop.
 
 Everything is deterministic given the seed: dataset order, shuffling,
 parameter init and gradient reduction order are all fixed. Meshes within
@@ -11,30 +11,25 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import network as net
-from .core import Mesh, normalize_mesh
+from .core import normalize_mesh
 
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    momentum: float = 0.9
     epochs: int = 30
     batch_size: int = 16
     seed: int = 0
-    optimizer: str = "adam"   # "adam" or "sgd"
-    weight_decay: float = 0.0
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("learning_rate", "momentum", "weight_decay"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name.replace('_', ' ')} must be finite and >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning rate must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
@@ -43,60 +38,34 @@ class TrainConfig:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-
-
-class SGDMomentum:
-    """v <- mu v - lr g;  p <- p + v."""
-
-    def __init__(self, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity: dict[str, np.ndarray] = {}
-
-    def step(self, params: net.ModelParams, grads: net.ModelParams) -> None:
-        for (name, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-            g = g + self.weight_decay * p
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(p)
-            v = self.momentum * v - self.lr * g
-            self.velocity[name] = v
-            p += v
 
 
 class Adam:
     """First/second-moment recursion with bias correction."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: net.ModelParams, grads: net.ModelParams) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         for (name, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-            g = g + self.weight_decay * p
             m = self.m.get(name, np.zeros_like(p))
             v = self.v.get(name, np.zeros_like(p))
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
+            m = self.BETA1 * m + (1 - self.BETA1) * g
+            v = self.BETA2 * v + (1 - self.BETA2) * g * g
             self.m[name], self.v[name] = m, v
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
 
 
-def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return SGDMomentum(cfg.learning_rate, cfg.momentum, cfg.weight_decay)
-    return Adam(cfg.learning_rate, weight_decay=cfg.weight_decay)
+def make_optimizer(cfg: TrainConfig) -> Adam:
+    return Adam(cfg.learning_rate)
 
 
 @dataclass
@@ -123,7 +92,7 @@ class TrainResult:
     best_epoch: int
 
 
-def _prepare(samples, config: net.ModelConfig):
+def prepare(samples, config: net.ModelConfig):
     """Normalize meshes and cache their parameter-independent inputs."""
     out = []
     for mesh, label in samples:
@@ -137,7 +106,7 @@ def _forward_backward(item, params, config):
     logits, tape = net.model_forward(mesh, params, config, static=static)
     loss, grad_logits = net.cross_entropy_loss(logits, label)
     grads = net.model_backward(tape, params, config, grad_logits)
-    stalled = any(bt.pool is not None and bt.pool.stalled for bt in tape.blocks)
+    stalled = any(bt.pool.stalled for bt in tape.blocks)
     return loss, int(np.argmax(logits) == label), grads, stalled
 
 
@@ -155,11 +124,11 @@ def _map(fn, items, threads: int) -> list:
     return list(map(fn, items))
 
 
-def evaluate(prepared, params, config, threads: int = 1):
+def evaluate(prepared, params, config, threads: int = 1) -> list[int]:
+    """Per prepared sample, 1 if its prediction is its label, else 0."""
     if not prepared:
         raise ValueError("empty evaluation split")
-    hits = _map(lambda it: _predict(it, params, config), prepared, threads)
-    return float(np.mean(hits))
+    return _map(lambda it: _predict(it, params, config), prepared, threads)
 
 
 def train(train_samples, test_samples, model_config: net.ModelConfig,
@@ -179,8 +148,8 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
     rng = np.random.default_rng(train_config.seed)
     params = net.init_params(model_config, np.random.default_rng(model_config.seed))
     opt = make_optimizer(train_config)
-    tr = _prepare(train_samples, model_config)
-    te = _prepare(test_samples, model_config)
+    tr = prepare(train_samples, model_config)
+    te = prepare(test_samples, model_config)
 
     metrics: list[EpochMetrics] = []
     best_acc, best_epoch = -1.0, -1
@@ -200,7 +169,8 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
                 hits.append(hit)
                 stalls += int(stalled)
             opt.step(params, acc_grads)
-        test_acc = evaluate(te, params, model_config, train_config.threads) if te else 0.0
+        test_acc = (float(np.mean(evaluate(te, params, model_config, train_config.threads)))
+                    if te else 0.0)
         em = EpochMetrics(epoch=epoch, loss=float(np.mean(losses)),
                           train_acc=float(np.mean(hits)), test_acc=test_acc,
                           seconds=time.perf_counter() - t0, stalls=stalls)

@@ -162,14 +162,14 @@ def test_criterion_4_invariance_suite():
     # convolution: bit-identical under region-list permutation
     feats = rng.normal(size=(base.num_faces, 4))
     cparams = init_conv_params(4, 6, rng)
-    ref = conv_forward(feats, reg0, cparams)
+    ref, _ = conv_forward(feats, reg0, cparams)
     for _ in range(10):
         members = reg0.members.copy()
         for f in range(members.shape[0]):
             n = reg0.counts[f]
             members[f, :n] = rng.permutation(members[f, :n])
         shuffled = RegionTable(reg0.kernel_size, members, reg0.counts.copy())
-        assert np.array_equal(conv_forward(feats, shuffled, cparams), ref)
+        assert np.array_equal(conv_forward(feats, shuffled, cparams)[0], ref)
 
     # pooling selection: exact under axis permutation and translation
     def selection(mesh, abs_free):

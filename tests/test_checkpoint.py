@@ -31,16 +31,6 @@ def test_round_trip_bit_identical(tmp_path):
         assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
-def test_expected_config_mismatch(tmp_path):
-    config = small_config()
-    path = str(tmp_path / "a.ckpt")
-    save_checkpoint(path, _params(config), config)
-    load_checkpoint(path, expected_config=config)   # matching: fine
-    other = small_config(num_classes=4)
-    with pytest.raises(CheckpointError, match="does not match"):
-        load_checkpoint(path, expected_config=other)
-
-
 def test_truncated_file(tmp_path):
     config = small_config()
     path = str(tmp_path / "a.ckpt")
@@ -95,7 +85,7 @@ def test_retired_keys_at_their_value_load(tmp_path):
     blob = json.dumps(cfg, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + cfg_len:])
-    loaded, loaded_config = load_checkpoint(path, expected_config=config)
+    loaded, loaded_config = load_checkpoint(path)
     assert loaded_config == config
     for (na, a), (nb, b) in zip(params.named_arrays(), loaded.named_arrays()):
         assert na == nb and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -116,8 +106,10 @@ DEFECTS = {
     "region_size_below_3": r"region_sizes \S.* has an entry below 3",
     "t_schedule_below_4": r"t_schedule \S.* has an entry below 4",
     "negative_seed": "seed must be >= 0",
-    # (10**5)**2 weights per conv layer; rejected before any is allocated
-    "huge_block_channels": "names, shapes",
+    # (10**5)**2 weights per conv layer: over net.MAX_PARAMS
+    "huge_block_channels": "150004500017 parameters exceed the budget of 100000000",
+    # 6e7 elements, within the budget; rejected before any is allocated
+    "block_channels_beyond_file": "names, shapes",
     # u64 dims whose product overflows int64, wraps it to 0, or has no
     # elements but a dim beyond NumPy's limit
     "dims_beyond_int64": "truncated checkpoint file",
@@ -165,6 +157,8 @@ def write_malformed(path, defect):
         cfg["seed"] = -1
     elif defect == "huge_block_channels":
         cfg["block_channels"] = [10**5] * 3
+    elif defect == "block_channels_beyond_file":
+        cfg["block_channels"] = [2000] * 3
     elif defect == "non_utf8_name":
         rest[6] = 0xFF             # the first byte of the first array's name
     elif defect in HUGE_DIMS:

@@ -233,19 +233,13 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("train.epochs = 0", "epochs must be >= 1"),
     ("train.epochs = -3", "epochs must be >= 1"),
     ("train.threads = 0", "threads must be >= 1"),
-    ("train.optimizer = foo", "unknown optimizer 'foo'"),
+    ("train.optimizer = adam", "unknown config key 'train.optimizer'"),   # retired
     ("synthetic.samples_per_class = 0", "samples per class must be >= 1"),
     ("synthetic.samples_per_class = 1", "1 train per class needs at least 2"),
     ("synthetic.face_band = 140 80", "face band lower bound exceeds upper bound"),
     ("train.learning_rate = nan", "learning rate must be finite and >= 0"),
     ("train.learning_rate = inf", "learning rate must be finite and >= 0"),
     ("train.learning_rate = 1e999", "learning rate must be finite and >= 0"),
-    ("train.momentum = nan", "momentum must be finite and >= 0"),
-    ("train.momentum = 1e999", "momentum must be finite and >= 0"),
-    ("train.momentum = -0.5", "momentum must be finite and >= 0"),
-    ("train.weight_decay = inf", "weight decay must be finite and >= 0"),
-    ("train.weight_decay = nan", "weight decay must be finite and >= 0"),
-    ("train.weight_decay = -1e-4", "weight decay must be finite and >= 0"),
     ("synthetic.jitter = nan", "jitter must be finite and >= 0"),
     ("synthetic.jitter = 1e999", "jitter must be finite and >= 0"),
     ("synthetic.seed = -1", "seed must be >= 0"),
@@ -260,15 +254,22 @@ def test_train_malformed_config_line(tmp_path, capsys):
      "3 classes x 99999999999999999999999 samples exceeds 1000000 synthetic samples"),
     ("synthetic.face_band = 420 1000000000000000000",
      "face band upper bound 1000000000000000000 exceeds 10000000"),
+    # retired training and data keys, even at a value they used to take
+    ("train.momentum = 0.9", "unknown config key 'train.momentum'"),
+    ("train.weight_decay = 0", "unknown config key 'train.weight_decay'"),
+    ("synthetic.rigid = true", "unknown config key 'synthetic.rigid'"),
+    # over net.MAX_PARAMS; nothing is allocated
+    ("block_channels = 1000000 1000000 1000000",
+     "15000045000017 parameters exceed the budget of 100000000"),
+    ("k_geo = 10000000", "750001187 parameters exceed the budget of 100000000"),
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "normalize_regions", "region_size",
         "epochs_zero", "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
         "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
-        "learning_rate_1e999", "momentum_nan", "momentum_1e999", "momentum_negative",
-        "weight_decay_inf", "weight_decay_nan", "weight_decay_negative", "jitter_nan",
-        "jitter_1e999", "synthetic_seed_negative", "train_seed_negative",
-        "model_seed_negative", "t_schedule_below_4", "num_classes_below_data",
-        "face_band_unreachable", "no_synthetic_classes", "samples_per_class_huge",
-        "face_band_huge"])
+        "learning_rate_1e999", "jitter_nan", "jitter_1e999", "synthetic_seed_negative",
+        "train_seed_negative", "model_seed_negative", "t_schedule_below_4",
+        "num_classes_below_data", "face_band_unreachable", "no_synthetic_classes",
+        "samples_per_class_huge", "face_band_huge", "momentum", "weight_decay", "rigid",
+        "block_channels_over_budget", "k_geo_over_budget"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):
@@ -368,8 +369,7 @@ def test_eval_memorized_is_perfect(tmp_path, capsys):
     config = _small_config()
     ds, root = _synthetic_root(tmp_path, per_class=1)
     pairs = [(s.mesh, s.class_id) for s in ds.samples]
-    tc = training.TrainConfig(learning_rate=5e-3, epochs=40, batch_size=3,
-                              optimizer="adam")
+    tc = training.TrainConfig(learning_rate=5e-3, epochs=40, batch_size=3)
     result = training.train(pairs, pairs, config, tc, stop_at_test_acc=1.0)
     assert result.best_test_acc == 1.0
     ckpt_path = str(tmp_path / "best.ckpt")
@@ -473,6 +473,19 @@ def test_gradcheck_corrupt_fails(capsys, monkeypatch):
     corrupt_conv_gradients(monkeypatch)
     assert run(["gradcheck", "--faces", "40"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_gradcheck_tolerance_not_finite_positive_exit_2(capsys, monkeypatch, value):
+    # each of these made a correct gradient FAIL with exit 1
+    def no_check(*args, **kwargs):
+        raise AssertionError("gradient check run with an invalid tolerance")
+
+    monkeypatch.setattr(cli.net, "grad_check", no_check)
+    assert run(["gradcheck", "--faces", "20", "--tolerance", value]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --tolerance: must be finite and > 0, got {value}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_identity_convolution(rng):
     regions = build_regions(build_adjacency(mesh), 3)
     feats = rng.normal(size=(20, 5))
     params = ConvParams(np.eye(5), np.zeros((5, 5)), np.zeros((5, 5)), np.zeros(5))
-    out = conv_forward(feats, regions, params, activation=False)
+    out, _ = conv_forward(feats, regions, params, activation=False)
     assert np.array_equal(out, feats)
 
 
@@ -134,7 +134,7 @@ def test_constant_field_kills_abs_term(rng):
     feats = np.full((mesh.num_faces, 3), 1.75)
     params = ConvParams(np.zeros((2, 3)), np.zeros((2, 3)),
                         rng.normal(size=(2, 3)), np.zeros(2))
-    out = conv_forward(feats, regions, params, activation=False)
+    out, _ = conv_forward(feats, regions, params, activation=False)
     assert np.abs(out).max() == 0.0
 
 
@@ -144,7 +144,7 @@ def test_tetrahedron_one_hot_neighbor_sum():
     feats[0] = 1.0
     params = ConvParams(np.zeros((1, 1)), np.ones((1, 1)),
                         np.zeros((1, 1)), np.zeros(1))
-    out = conv_forward(feats, regions, params, activation=False)
+    out, _ = conv_forward(feats, regions, params, activation=False)
     assert out.ravel().tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
@@ -153,14 +153,14 @@ def test_order_invariance_bit_identical(rng):
     regions = build_regions(build_adjacency(mesh), 9)
     feats = rng.normal(size=(mesh.num_faces, 4))
     params = init_conv_params(4, 6, rng)
-    ref = conv_forward(feats, regions, params)
+    ref, _ = conv_forward(feats, regions, params)
     for _ in range(10):
         members = regions.members.copy()
         for f in range(members.shape[0]):
             n = regions.counts[f]
             members[f, :n] = rng.permutation(members[f, :n])
         shuffled = RegionTable(regions.kernel_size, members, regions.counts.copy())
-        out = conv_forward(feats, shuffled, params)
+        out, _ = conv_forward(feats, shuffled, params)
         assert np.array_equal(out, ref)
 
 
@@ -170,11 +170,11 @@ def test_locality(rng):
     feats = rng.normal(size=(mesh.num_faces, 4))
     params = init_conv_params(4, 4, rng)
     f = 17
-    ref = conv_forward(feats, regions, params)[f]
+    ref = conv_forward(feats, regions, params)[0][f]
     outside = np.setdiff1d(np.arange(mesh.num_faces), [f] + regions.row(f))
     feats2 = feats.copy()
     feats2[outside] = rng.normal(size=(len(outside), 4))
-    assert np.array_equal(conv_forward(feats2, regions, params)[f], ref)
+    assert np.array_equal(conv_forward(feats2, regions, params)[0][f], ref)
 
 
 def test_forward_shape_errors(rng):
@@ -194,8 +194,7 @@ def test_forward_shape_errors(rng):
 
 def backward(feats, regions, params, grad_out, activation=True):
     """``conv_backward`` given the cache of a fresh forward pass."""
-    _, cache = conv_forward(feats, regions, params, activation=activation,
-                            return_cache=True)
+    _, cache = conv_forward(feats, regions, params, activation=activation)
     return conv_backward(feats, regions, params, grad_out, cache, activation=activation)
 
 
@@ -231,13 +230,13 @@ def _fd_check(mesh_builder, seed=7, tol=1e-4, step=1e-5):
     feats = rng.normal(size=(F, 3))
     params = init_conv_params(3, 2, rng)
     grad_out = rng.normal(size=(F, 2))
-    _, cache = conv_forward(feats, regions, params, return_cache=True)
+    _, cache = conv_forward(feats, regions, params)
     # kink check: keep away from abs/ReLU non-differentiability
     assert np.abs(cache["diff"][cache["valid"]]).min() > 1e-7
     gf, gp = conv_backward(feats, regions, params, grad_out, cache)
 
     def loss(fe, pa):
-        return float(np.sum(grad_out * conv_forward(fe, regions, pa)))
+        return float(np.sum(grad_out * conv_forward(fe, regions, pa)[0]))
 
     checks = [(feats, gf), (params.w0, gp.w0), (params.w1, gp.w1),
               (params.w2, gp.w2), (params.bias, gp.bias)]
@@ -263,7 +262,7 @@ def test_backward_grad_shape_mismatch(rng):
     regions = build_regions(build_adjacency(tetrahedron()), 3)
     params = init_conv_params(3, 2, rng)
     feats = rng.normal(size=(4, 3))
-    _, cache = conv_forward(feats, regions, params, return_cache=True)
+    _, cache = conv_forward(feats, regions, params)
     with pytest.raises(ValueError, match="grad_out"):
         conv_backward(feats, regions, params, np.zeros((4, 3)), cache)
 
@@ -309,8 +308,7 @@ def test_conv_matches_oracle_bytes(activation):
         quiet = _signed_zeros(rng.normal(size=(F, 4)), rng)
         quiet[sorted(first)] = -0.0
         for grad_out in (_signed_zeros(rng.normal(size=(F, 4)), rng), quiet):
-            out, cache = conv_forward(feats, regions, params, activation=activation,
-                                      return_cache=True)
+            out, cache = conv_forward(feats, regions, params, activation=activation)
             ref_out, ref_cache = oracle_conv_forward(
                 feats, regions, params, activation=activation)
             gf, gp = conv_backward(feats, regions, params, grad_out, cache,

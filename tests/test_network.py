@@ -41,6 +41,19 @@ def test_config_validation():
         small_config(seed=-1)
 
 
+def test_config_parameter_budget():
+    """Sizes that ask for more than MAX_PARAMS elements are rejected from
+    the config alone, before init_params could allocate them."""
+    assert net.param_count(net.ModelConfig()) == 100_731
+    with pytest.raises(ValueError, match="15000153000059 parameters exceed "
+                                         "the budget of 100000000"):
+        net.ModelConfig(block_channels=(10**6,) * 3)
+    with pytest.raises(ValueError, match="291098403 parameters exceed"):
+        net.ModelConfig(k_geo=10**6)
+    config = small_config(block_channels=(2500,) * 3)    # within the budget
+    assert 0.9 * net.MAX_PARAMS < net.param_count(config) <= net.MAX_PARAMS
+
+
 def test_init_params_channel_chain():
     config = net.ModelConfig()   # defaults: 32/64/128, 2 convs per block
     params = net.init_params(config)

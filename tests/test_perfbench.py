@@ -1,12 +1,14 @@
 """The benchmark in ``perfbench/`` still runs against this source tree:
 every name its tracer wraps exists and is called through the module global
-it wraps, a traced pooling stage reports its counts, and the pooling stage
-and a training step pass the benchmark's own output checks."""
+it wraps, a traced pooling stage reports its counts, the pooling stage
+and a training step pass the benchmark's own output checks, and one round
+of each training workload runs with no failed operation."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from meshlearn import cli, network, pooling
 from meshlearn.core import build_adjacency, save_off
@@ -68,3 +70,14 @@ def test_training_step_passes_directional_derivative_check():
     item = workloads._training_builders(0, config)[0]()
     params = network.init_params(config, np.random.default_rng(0))
     assert checks.directional_derivative_problems(item, params, config, 0) == []
+
+
+@pytest.mark.parametrize("nopool", [False, True], ids=["train-500", "train-nopool"])
+def test_training_workload_one_round(nopool):
+    """One round of a training workload: every step of ``TrainConfig`` and
+    ``training.make_optimizer``'s Adam, the held-out forwards, and the
+    run-level checks (directional derivatives, repeatable gradients)."""
+    run = workloads.run_training(0, 0.0, nopool)
+    assert run.rounds == 1 and run.attempted > 0
+    assert run.failed == 0, run.op_problems
+    assert run.problems == []
