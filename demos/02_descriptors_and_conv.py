@@ -11,16 +11,22 @@ from meshlearn.conv import (RegionTable, build_regions, conv_forward,
                             init_conv_params)
 from meshlearn.core import build_adjacency, compute_geometry, normalize_mesh
 from meshlearn.data import icosphere
-from meshlearn.descriptors import descriptor_forward, init_descriptor_params
+from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
+                                   descriptor_forward, init_descriptor_params)
 
 rng = np.random.default_rng(0)
 mesh = normalize_mesh(icosphere(1))
 adj = build_adjacency(mesh)
 geo = compute_geometry(mesh)
 
-# k_geo + k_geom learnable channels, each an 8-channel block of 3-vectors
+# fixed per-face terms, computed once: (F, 3, 3) geodesic, (F, 4, 3) geometric
+geo_terms = compute_geodesic_terms(mesh, adj, geo)
+geom_terms = compute_geometric_terms(mesh, adj, geo)
+print(f"descriptor terms: {geo_terms.shape} geodesic, {geom_terms.shape} geometric")
+
+# k_geo + k_geom learnable kernels, each giving one 3-vector per face
 params = init_descriptor_params(k_geo=4, k_geom=4, rng=rng)
-feats = descriptor_forward(mesh, adj, geo, params)
+feats = descriptor_forward(geo_terms, geom_terms, params)
 print(f"descriptor features: {feats.shape} "
       f"(F x 3*(k_geo + k_geom) = {mesh.num_faces} x 24)")
 

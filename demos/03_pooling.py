@@ -11,15 +11,18 @@ import numpy as np
 from meshlearn.core import (build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
 from meshlearn.data import icosphere, torus
-from meshlearn.descriptors import descriptor_forward, init_descriptor_params
+from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
+                                   descriptor_forward, init_descriptor_params)
 from meshlearn.pooling import compute_face_weights, pool_to_target
 
 rng = np.random.default_rng(0)
 for name, mesh in [("icosphere(2)", icosphere(2)), ("torus(16, 8)", torus(16, 8))]:
     mesh = normalize_mesh(mesh)
     adj = build_adjacency(mesh)
+    geo = compute_geometry(mesh)
     params = init_descriptor_params(3, 3, rng)
-    feats = descriptor_forward(mesh, adj, compute_geometry(mesh), params)
+    feats = descriptor_forward(compute_geodesic_terms(mesh, adj, geo),
+                               compute_geometric_terms(mesh, adj, geo), params)
     weights = compute_face_weights(feats, adj)
     print(f"{name}: F={mesh.num_faces} chi={euler_characteristic(mesh)} "
           f"weight range [{weights.min():.3f}, {weights.max():.3f}]")

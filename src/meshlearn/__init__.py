@@ -5,11 +5,10 @@ from .core import (NONE, AdjacencyMatrix, GeometryCache, Mesh, MeshError,
                    ValidationReport, build_adjacency, compute_geometry,
                    euler_characteristic, load_mesh, normalize_mesh, save_off,
                    validate_mesh)
-from .descriptors import (DescriptorParams, GeodesicTerms,
-                          compute_geodesic_terms, compute_geometric_terms,
-                          descriptor_backward, descriptor_forward,
-                          geodesic_forward, geometric_forward,
-                          init_descriptor_params)
+from .descriptors import (DescriptorParams, compute_geodesic_terms,
+                          compute_geometric_terms, descriptor_backward,
+                          descriptor_forward, geodesic_forward,
+                          geometric_forward, init_descriptor_params)
 from .conv import (ConvParams, RegionTable, build_regions, conv_backward,
                    conv_forward, init_conv_params)
 from .pooling import (PoolPlan, PoolRegion, PooledMesh, apply_pass,

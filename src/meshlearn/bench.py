@@ -1,10 +1,12 @@
 """Wall-clock benchmark harness for the three operator families.
 
 Mirrors the batched protocol used for the reported measurements: a fixed
-batch of synthetic meshes is pushed through descriptor, convolution and
-pooling forward+backward repeatedly; per-phase wall times are averaged
-over the batches. Peak resident memory is reported best-effort (Linux
-``ru_maxrss``); absolute numbers are hardware-dependent by nature.
+batch of synthetic meshes, each with its adjacency and geometry, is pushed
+through descriptor, convolution and pooling forward+backward repeatedly;
+per-phase wall times are averaged over the batches. The descriptor phase
+computes both term arrays once and passes them to forward and backward.
+Peak resident memory is reported best-effort (Linux ``ru_maxrss``);
+absolute numbers are hardware-dependent by nature.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from . import conv as convmod
 from . import descriptors as desc
 from . import network as net
 from . import pooling as poolmod
+from .core import build_adjacency, compute_geometry
 from .data import SyntheticSpec, generate_synthetic
 
 PHASES = ("descriptor", "conv", "pool")
@@ -64,27 +67,28 @@ def _peak_rss_mb() -> float | None:
         return None
 
 
-def _mesh_work(item, params, config):
+def _mesh_work(item, params):
     """One mesh through the three phases; returns timings and a checksum."""
-    mesh, static = item
+    mesh, adj, geo = item
     F = mesh.num_faces
     t = {}
     t0 = time.perf_counter()
-    feats = desc.descriptor_forward(mesh, static.adjacency, static.geometry,
-                                    params.descriptor)
-    dgrad = desc.descriptor_backward(static.geo_terms, static.geom_terms,
-                                     params.descriptor, np.ones_like(feats))
+    geo_terms = desc.compute_geodesic_terms(mesh, adj, geo)
+    geom_terms = desc.compute_geometric_terms(mesh, adj, geo)
+    feats = desc.descriptor_forward(geo_terms, geom_terms, params.descriptor)
+    dgrad = desc.descriptor_backward(geo_terms, geom_terms, params.descriptor,
+                                     np.ones_like(feats))
     t["descriptor"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    regions = convmod.build_regions(static.adjacency, KERNEL_SIZE)
+    regions = convmod.build_regions(adj, KERNEL_SIZE)
     conv = params.conv_layers[0]
     out, cache = convmod.conv_forward(feats, regions, conv)
     gf, _ = convmod.conv_backward(feats, regions, conv, np.ones_like(out), cache)
     t["conv"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pooled = poolmod.pool_to_target(mesh, static.adjacency, out, F // 2)
+    pooled = poolmod.pool_to_target(mesh, adj, out, F // 2)
     gin = poolmod.pooling_backward(pooled.passes, np.ones_like(pooled.features))
     t["pool"] = time.perf_counter() - t0
 
@@ -105,16 +109,15 @@ def run_benchmark(faces: int = 500, batch_size: int = 50, num_batches: int = 50,
                          face_band=(lo, hi), seed=seed)
     dataset = generate_synthetic(spec)
     meshes = [s.mesh for s in dataset.samples][:batch_size]
-    config = net.ModelConfig(num_classes=3)
-    params = net.init_params(config, np.random.default_rng(seed))
-    items = [(m, net.precompute_static(m, config)) for m in meshes]
+    params = net.init_params(net.ModelConfig(num_classes=3), np.random.default_rng(seed))
+    items = [(m, build_adjacency(m), compute_geometry(m)) for m in meshes]
 
     per_batch = {p: [] for p in PHASES}
     removal, checksum = [], 0.0
     for b in range(num_batches):
         sums = {p: 0.0 for p in PHASES}
         for item in items:
-            t, frac, cs = _mesh_work(item, params, config)
+            t, frac, cs = _mesh_work(item, params)
             for p in PHASES:
                 sums[p] += t[p]
             if b == 0:

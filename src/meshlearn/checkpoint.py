@@ -17,7 +17,7 @@ Byte layout (all integers little-endian, floats IEEE-754 little-endian):
 Round-trips are bit-exact. Loading verifies magic, version, truncation
 and trailing bytes, that the config holds exactly the ``ModelConfig``
 fields (plus ``RETIRED_KEYS`` at their one value), and that the arrays
-have the names, shapes and dtype that config needs.
+have the names, shapes and dtype that config needs and finite values.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ def load_checkpoint(path: str):
             != {k: (a.shape, a.dtype) for k, a in needed}):
         raise mismatch
     for name, arr in needed:
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"array {name!r} has a non-finite value")
         arr[...] = arrays[name]
     return params, config
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bench as benchmod
 from . import checkpoint as ckpt
+from . import descriptors as desc
 from . import network as net
 from . import pooling as poolmod
 from . import training
@@ -105,7 +106,8 @@ def cmd_pool(args) -> int:
     else:
         geo = compute_geometry(mesh)
         params = init_descriptor_params(4, 4, np.random.default_rng(args.seed))
-        feats = descriptor_forward(mesh, adj, geo, params)
+        feats = descriptor_forward(desc.compute_geodesic_terms(mesh, adj, geo),
+                                   desc.compute_geometric_terms(mesh, adj, geo), params)
     t0 = time.perf_counter()
     pooled = poolmod.pool_to_target(mesh, adj, feats, args.target)
     dt = time.perf_counter() - t0
@@ -161,10 +163,6 @@ def _load_train_test(args, synth_kw, num_classes):
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     model_kw, train_kw, synth_kw = build_configs(values)
-    if args.epochs is not None:
-        train_kw["epochs"] = args.epochs
-    if args.threads is not None:
-        train_kw["threads"] = args.threads
     # both configs are checked before any data is generated or loaded
     model_config = net.ModelConfig(**model_kw)
     train_config = training.TrainConfig(**train_kw)
@@ -285,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", help="dataset root directory")
     sp.add_argument("--synthetic", action="store_true")
     sp.add_argument("--per-class-train", type=positive_int, dest="per_class_train")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="runs")
     sp.set_defaults(func=cmd_train)

@@ -12,6 +12,9 @@ Each kernel is a small weight vector combining fixed geometric terms:
   + b2 * sum_n |centroid - centroid_n| + b3 * sum_n |normal x normal_n|
   with n running over the (up to 3) edge-neighbor faces.
 
+Both families are fixed (F, T, 3) term arrays (T = 3, 4) made once per
+mesh; ``descriptor_forward`` and ``descriptor_backward`` take the two.
+
 |.| is the componentwise absolute value, keeping every term a 3-vector.
 Missing neighbors on borders contribute zero vectors. The first geodesic
 term is identically zero for the arithmetic centroid; it is kept so the
@@ -76,25 +79,11 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
     return (x[:, 0] + x[:, 1]) + x[:, 2]
 
 
-@dataclass
-class GeodesicTerms:
-    """Per-face, per-vertex-slot raw terms of the geodesic descriptor."""
-
-    pos_dev: np.ndarray         # (F, 3 slots, 3)
-    vnormal: np.ndarray         # (F, 3 slots, 3)
-    edge_pair_diff: np.ndarray  # (F, 3 slots, 3), componentwise >= 0
-
-    @property
-    def slot_sums(self) -> np.ndarray:
-        """(F, 3 terms, 3): each term summed over the vertex slots, left to
-        right, as ``sum(axis=1)`` adds them."""
-        return np.stack([_slot_sum(x) for x in
-                         (self.pos_dev, self.vnormal, self.edge_pair_diff)], axis=1)
-
-
 def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix,
-                           geo: GeometryCache) -> GeodesicTerms:
-    """Raw geodesic terms; pure geometry, no learnable weights involved."""
+                           geo: GeometryCache) -> np.ndarray:
+    """(F, 3 terms, 3) raw terms of the geodesic descriptor, each summed
+    over the three vertex slots left to right, as ``sum(axis=1)`` adds
+    them; pure geometry, no learnable weights involved."""
     v, f = mesh.vertices, mesh.faces
     vf = v[f]
     pos_dev = vf - geo.face_centroids[:, None, :]
@@ -123,7 +112,7 @@ def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix,
         return e
 
     edge_pair_diff = np.abs(toward(first) - toward(second))
-    return GeodesicTerms(pos_dev, vnormal, edge_pair_diff)
+    return np.stack([_slot_sum(x) for x in (pos_dev, vnormal, edge_pair_diff)], axis=1)
 
 
 def compute_geometric_terms(mesh: Mesh, adj: AdjacencyMatrix,
@@ -150,9 +139,9 @@ def _kernel_forward(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out.transpose(1, 0, 2).reshape(len(terms), -1)
 
 
-def geodesic_forward(terms: GeodesicTerms, params: DescriptorParams) -> np.ndarray:
-    """(F, 3*k_geo) geodesic feature block; kernels laid out contiguously."""
-    return _kernel_forward(params.geo, terms.slot_sums)
+def geodesic_forward(terms: np.ndarray, params: DescriptorParams) -> np.ndarray:
+    """(F, 3*k_geo) geodesic feature block from ``compute_geodesic_terms``."""
+    return _kernel_forward(params.geo, terms)
 
 
 def geometric_forward(terms: np.ndarray, params: DescriptorParams) -> np.ndarray:
@@ -160,19 +149,18 @@ def geometric_forward(terms: np.ndarray, params: DescriptorParams) -> np.ndarray
     return _kernel_forward(params.geom, terms)
 
 
-def descriptor_forward(mesh: Mesh, adj: AdjacencyMatrix, geo: GeometryCache,
+def descriptor_forward(geo_terms: np.ndarray, geom_terms: np.ndarray,
                        params: DescriptorParams) -> np.ndarray:
     """Concatenated (F, 3*(k_geo + k_geom)) face features.
 
-    Channel layout: geodesic block first, then geometric block.
+    Channel layout: geodesic block first, then geometric block; each
+    kernel's three channels are contiguous.
     """
-    return np.concatenate([
-        geodesic_forward(compute_geodesic_terms(mesh, adj, geo), params),
-        geometric_forward(compute_geometric_terms(mesh, adj, geo), params)],
-        axis=1)
+    return np.concatenate([geodesic_forward(geo_terms, params),
+                           geometric_forward(geom_terms, params)], axis=1)
 
 
-def descriptor_backward(geo_terms: GeodesicTerms, geom_terms: np.ndarray,
+def descriptor_backward(geo_terms: np.ndarray, geom_terms: np.ndarray,
                         params: DescriptorParams,
                         grad_out: np.ndarray) -> DescriptorParams:
     """Parameter gradients of the descriptor layer.
@@ -180,13 +168,13 @@ def descriptor_backward(geo_terms: GeodesicTerms, geom_terms: np.ndarray,
     Geometry is treated as constant (input layer); the layer is linear in
     the kernel weights, so the gradients are plain term/grad contractions.
     """
-    F = geo_terms.pos_dev.shape[0]
+    F = geo_terms.shape[0]
     k_geo, k_geom = params.k_geo, params.k_geom
     if grad_out.shape != (F, 3 * (k_geo + k_geom)):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match layout")
     g_geo = grad_out[:, : 3 * k_geo].reshape(F, k_geo, 3)
     g_geom = grad_out[:, 3 * k_geo:].reshape(F, k_geom, 3)
     return DescriptorParams(
-        geo=np.einsum("fjc,ftc->jt", g_geo, geo_terms.slot_sums),
+        geo=np.einsum("fjc,ftc->jt", g_geo, geo_terms),
         geom=np.einsum("fjc,ftc->jt", g_geom, geom_terms),
     )

@@ -17,7 +17,7 @@ import numpy as np
 from . import conv as convmod
 from . import descriptors as desc
 from . import pooling as poolmod
-from .core import AdjacencyMatrix, GeometryCache, Mesh, build_adjacency, compute_geometry
+from .core import AdjacencyMatrix, Mesh, build_adjacency, compute_geometry
 
 # Most elements ``init_params`` may allocate for one config (800 MB of float64)
 MAX_PARAMS = 10**8
@@ -129,12 +129,12 @@ def add_params(acc: ModelParams, other: ModelParams, scale: float = 1.0) -> None
 
 @dataclass
 class StaticInputs:
-    """Parameter-independent quantities for one mesh; cacheable across epochs."""
+    """Parameter-independent quantities for one mesh; cacheable across
+    epochs. The geometry the descriptor terms come from is not kept."""
 
     adjacency: AdjacencyMatrix
-    geometry: GeometryCache
-    geo_terms: desc.GeodesicTerms
-    geom_terms: np.ndarray
+    geo_terms: np.ndarray    # (F, 3, 3), ``compute_geodesic_terms``
+    geom_terms: np.ndarray   # (F, 4, 3), ``compute_geometric_terms``
     first_regions: convmod.RegionTable
 
 
@@ -142,7 +142,7 @@ def precompute_static(mesh: Mesh, config: ModelConfig) -> StaticInputs:
     adj = build_adjacency(mesh)
     geo = compute_geometry(mesh)
     return StaticInputs(
-        adjacency=adj, geometry=geo,
+        adjacency=adj,
         geo_terms=desc.compute_geodesic_terms(mesh, adj, geo),
         geom_terms=desc.compute_geometric_terms(mesh, adj, geo),
         first_regions=convmod.build_regions(adj, config.region_sizes[0]))
@@ -175,9 +175,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
     """
     if static is None:
         static = replay.static if replay is not None else precompute_static(mesh, config)
-    feats = np.concatenate([
-        desc.geodesic_forward(static.geo_terms, params.descriptor),
-        desc.geometric_forward(static.geom_terms, params.descriptor)], axis=1)
+    feats = desc.descriptor_forward(static.geo_terms, static.geom_terms, params.descriptor)
     tape = Tape(static=static)
     cur_mesh, cur_adj = mesh, static.adjacency
     layer_idx = 0

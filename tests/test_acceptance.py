@@ -19,7 +19,8 @@ from meshlearn.core import (build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
 from meshlearn.data import (SyntheticSpec, box, generate_synthetic, icosphere,
                             make_splits, random_rotation, torus)
-from meshlearn.descriptors import descriptor_forward, init_descriptor_params
+from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
+                                   descriptor_forward, init_descriptor_params)
 from meshlearn.pooling import compute_face_weights, plan_pass, pool_to_target
 
 from conftest import closed_corpus, jitter_mesh, record_criterion, rigid_transform
@@ -43,6 +44,12 @@ def criterion(number, description):
             record_criterion(number, description, True, f"{extra}{dt:.1f}s")
         return wrapper
     return deco
+
+
+def _descriptor_features(mesh, adj, params):
+    geo = compute_geometry(mesh)
+    return descriptor_forward(compute_geodesic_terms(mesh, adj, geo),
+                              compute_geometric_terms(mesh, adj, geo), params)
 
 
 def _small_grad_config():
@@ -97,7 +104,7 @@ def test_criterion_2_pooling_topology():
         assert 80 <= F <= 1300
         chi = euler_characteristic(mesh)
         adj = build_adjacency(mesh)
-        feats = descriptor_forward(mesh, adj, compute_geometry(mesh), params)
+        feats = _descriptor_features(mesh, adj, params)
         target = F // 2
         out = pool_to_target(mesh, adj, feats, target)
         assert validate_mesh(out.mesh).ok, i
@@ -178,7 +185,7 @@ def test_criterion_4_invariance_suite():
         if abs_free:
             params.geo[:, 2] = 0.0
             params.geom[:, 2:] = 0.0
-        f = descriptor_forward(mesh, adj, compute_geometry(mesh), params)
+        f = _descriptor_features(mesh, adj, params)
         w = compute_face_weights(f, adj)
         plan = plan_pass(mesh, adj, w, mesh.num_faces // 2)
         return w, [r.center for r in plan.regions]

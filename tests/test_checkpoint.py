@@ -115,6 +115,9 @@ DEFECTS = {
     "dims_beyond_int64": "truncated checkpoint file",
     "dims_product_wraps": "truncated checkpoint file",
     "dims_zero_and_huge": r"array 'descriptor.geo' has unsupported dims \[0, 18446744073709551615\]",
+    # non-finite weights: DescriptorParams checks only what it is built with
+    "nan_in_conv0_w0": "array 'conv0.w0' has a non-finite value",
+    "inf_in_descriptor_geo": "array 'descriptor.geo' has a non-finite value",
 }
 
 # the first array's two u64 dims, for each dims defect
@@ -129,6 +132,10 @@ def write_malformed(path, defect):
     params = _params(config)
     if defect == "missing_conv_layers":
         params.conv_layers = params.conv_layers[:3]    # the config needs 6
+    elif defect == "nan_in_conv0_w0":
+        params.conv_layers[0].w0[1, 2] = np.nan
+    elif defect == "inf_in_descriptor_geo":
+        params.descriptor.geo[0, 1] = np.inf
     save_checkpoint(path, params, config)
     data = bytearray(open(path, "rb").read())
     (cfg_len,) = struct.unpack_from("<Q", data, 8)

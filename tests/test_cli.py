@@ -310,6 +310,16 @@ def test_train_per_class_train_below_one_exit_2(tmp_path, capsys, monkeypatch, v
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flag", ["--epochs", "--threads"])
+def test_train_retired_flags_exit_2(tmp_path, capsys, flag):
+    # the config keys train.epochs and train.threads set these
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "run")
+    assert run(["train", "--synthetic", "--config", cfg, flag, "1", "--out", out]) == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_train_synthetic_writes_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "run")

@@ -25,6 +25,11 @@ def _inputs(mesh):
     return adj, geo
 
 
+def _terms(mesh, adj, geo):
+    """Both term arrays, in ``descriptor_forward``'s argument order."""
+    return compute_geodesic_terms(mesh, adj, geo), compute_geometric_terms(mesh, adj, geo)
+
+
 def flat_patch():
     """Triangle subdivided once: face 3 is interior with 3 in-plane neighbors."""
     base = Mesh(np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0]]),
@@ -39,19 +44,19 @@ def flat_patch():
 def test_pos_dev_sums_to_zero(rng):
     mesh = jitter_mesh(icosahedron(), rng)
     terms = compute_geodesic_terms(mesh, *_inputs(mesh))
-    assert np.abs(terms.pos_dev.sum(axis=1)).max() <= 1e-12
+    assert np.abs(terms[:, 0]).max() <= 1e-12
 
 
 def test_edge_pair_diff_nonnegative(rng):
     mesh = jitter_mesh(torus(6, 4), rng)
     terms = compute_geodesic_terms(mesh, *_inputs(mesh))
-    assert (terms.edge_pair_diff >= 0).all()
+    assert (terms[:, 2] >= 0).all()
 
 
 def test_flat_patch_interior_vertex_normals():
     mesh = flat_patch()
     terms = compute_geodesic_terms(mesh, *_inputs(mesh))
-    assert np.allclose(terms.vnormal, [0, 0, 1], atol=1e-12)
+    assert np.allclose(terms[:, 1], [0, 0, 3], atol=1e-12)   # three unit normals
 
 
 def oracle_edge_pair_diff(mesh, f):
@@ -80,7 +85,8 @@ def test_edge_pair_diff_matches_oracle(rng):
     for mesh in [icosahedron(), jitter_mesh(torus(5, 4), rng)]:
         terms = compute_geodesic_terms(mesh, *_inputs(mesh))
         for f in range(mesh.num_faces):
-            assert np.array_equal(terms.edge_pair_diff[f], oracle_edge_pair_diff(mesh, f))
+            rows = oracle_edge_pair_diff(mesh, f)
+            assert np.array_equal(terms[f, 2], (rows[0] + rows[1]) + rows[2])
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +131,7 @@ def assert_stages_match_oracles(mesh, params):
         assert_same_bits(getattr(geo, name), getattr(want_geo, name))
     terms = compute_geodesic_terms(mesh, adj, geo)
     want = oracle_geodesic_terms(mesh, adj, geo)
-    for got, expect in zip((terms.pos_dev, terms.vnormal, terms.edge_pair_diff,
-                            terms.slot_sums), want):
-        assert_same_bits(got, expect)
+    assert_same_bits(terms, want[3])   # the slot sums of the per-slot oracle
     gterms = compute_geometric_terms(mesh, adj, geo)
     assert_same_bits(gterms, oracle_geometric_terms(adj, geo))
     assert_same_bits(geodesic_forward(terms, params),
@@ -211,15 +215,16 @@ def test_geometric_cross_term_flat_plane_zero():
 def test_descriptor_forward_layout_and_linearity(rng):
     mesh = jitter_mesh(icosahedron(), rng)
     adj, geo = _inputs(mesh)
+    terms = _terms(mesh, adj, geo)
     p1 = DescriptorParams(geo=[[0.1, 0.2, 0.3]], geom=[[0.4, 0.5, 0.6, 0.7]])
-    out = descriptor_forward(mesh, adj, geo, p1)
+    out = descriptor_forward(*terms, p1)
     assert out.shape == (20, 6)
     zero = DescriptorParams(geo=np.zeros((1, 3)), geom=np.zeros((1, 4)))
-    assert np.abs(descriptor_forward(mesh, adj, geo, zero)).max() == 0.0
+    assert np.abs(descriptor_forward(*terms, zero)).max() == 0.0
     # exact for a power-of-two factor: scaling commutes with every product
     # and sum without extra rounding
     p2 = DescriptorParams(geo=2.0 * p1.geo, geom=2.0 * p1.geom)
-    assert np.array_equal(descriptor_forward(mesh, adj, geo, p2), 2.0 * out)
+    assert np.array_equal(descriptor_forward(*terms, p2), 2.0 * out)
 
 
 def test_descriptor_forward_matches_term_oracle():
@@ -227,16 +232,13 @@ def test_descriptor_forward_matches_term_oracle():
     mesh = icosahedron()
     adj, geo = _inputs(mesh)
     params = init_descriptor_params(2, 2, np.random.default_rng(42))
-    out = descriptor_forward(mesh, adj, geo, params)
-    terms = compute_geodesic_terms(mesh, adj, geo)
-    gterms = compute_geometric_terms(mesh, adj, geo)
+    terms, gterms = _terms(mesh, adj, geo)
+    out = descriptor_forward(terms, gterms, params)
     for f in range(mesh.num_faces):
         cols = []
         for j in range(params.k_geo):
             a0, a1, a2 = params.geo[j]
-            vec = (a0 * terms.pos_dev[f].sum(axis=0)
-                   + a1 * terms.vnormal[f].sum(axis=0)
-                   + a2 * terms.edge_pair_diff[f].sum(axis=0))
+            vec = a0 * terms[f, 0] + a1 * terms[f, 1] + a2 * terms[f, 2]
             cols.extend(vec)
         for j in range(params.k_geom):
             b0, b1, b2, b3 = params.geom[j]
@@ -250,7 +252,7 @@ def test_border_robustness_single_triangle():
     mesh = single_triangle()
     adj, geo = _inputs(mesh)
     params = init_descriptor_params(3, 3, np.random.default_rng(1))
-    out = descriptor_forward(mesh, adj, geo, params)
+    out = descriptor_forward(*_terms(mesh, adj, geo), params)
     assert np.isfinite(out).all()
 
 
@@ -283,8 +285,8 @@ def test_axis_permutation_equivariance_of_abs_terms(rng):
     pmesh = mesh.with_geometry(mesh.vertices @ P.T)
     padj, pgeo = _inputs(pmesh)
     params = DescriptorParams(geo=[[0.0, 0, 1]], geom=[[0.0, 0, 1, 1]])
-    base = descriptor_forward(mesh, adj, geo, params)
-    perm = descriptor_forward(pmesh, padj, pgeo, params)
+    base = descriptor_forward(*_terms(mesh, adj, geo), params)
+    perm = descriptor_forward(*_terms(pmesh, padj, pgeo), params)
     expect = np.concatenate([base[:, :3] @ P.T, base[:, 3:] @ P.T], axis=1)
     assert np.allclose(perm, expect, atol=1e-12)
 
@@ -312,7 +314,7 @@ def test_backward_a1_single_face():
     grad_out = np.zeros((20, 6))
     grad_out[0, :3] = 1.0   # ones on face 0's geodesic triple
     g = descriptor_backward(terms, gterms, params, grad_out)
-    assert np.isclose(g.geo[0, 1], terms.vnormal[0].sum())
+    assert np.isclose(g.geo[0, 1], terms[0, 1].sum())
 
 
 def test_backward_shape_mismatch(rng):
@@ -340,7 +342,7 @@ def test_backward_finite_differences_20_draws():
         analytic = descriptor_backward(terms, gterms, params, grad_out)
 
         def loss(p):
-            return float(np.sum(grad_out * descriptor_forward(mesh, adj, geo, p)))
+            return float(np.sum(grad_out * descriptor_forward(terms, gterms, p)))
 
         for arr, garr in ((params.geo, analytic.geo), (params.geom, analytic.geom)):
             it = np.nditer(arr, flags=["multi_index"])

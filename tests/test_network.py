@@ -1,11 +1,15 @@
 """End-to-end model: forward, backward, gradient checking, loss, GAP."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import meshlearn.network as net
 from meshlearn.conv import ConvParams
-from meshlearn.core import normalize_mesh
+from meshlearn.core import build_adjacency, compute_geometry, normalize_mesh
+from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
+                                   descriptor_forward)
 from meshlearn.data import SyntheticSpec, generate_synthetic, icosphere, torus
 
 from conftest import jitter_mesh
@@ -98,6 +102,30 @@ def test_default_model_pooling_schedule_on_500_face_mesh():
     counts = [bt.pool.mesh.num_faces for bt in tape.blocks]
     for count, t in zip(counts, config.t_schedule):
         assert t - 3 <= count <= t
+
+
+def test_first_conv_input_is_descriptor_forward_of_terms():
+    """model_forward evaluates the descriptor through descriptor_forward
+    over the cached terms: its first conv input is that call's output."""
+    mesh = normalize_mesh(jitter_mesh(icosphere(3, base="octahedron"),
+                                      np.random.default_rng(4)))
+    config = net.ModelConfig(num_classes=3)
+    params = net.init_params(config)
+    _, tape = net.model_forward(mesh, params, config)
+    adj, geo = build_adjacency(mesh), compute_geometry(mesh)
+    want = descriptor_forward(compute_geodesic_terms(mesh, adj, geo),
+                              compute_geometric_terms(mesh, adj, geo), params.descriptor)
+    got = tape.blocks[0].conv_inputs[0]
+    assert got.shape == want.shape == (512, config.descriptor_channels)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_static_inputs_keep_terms_not_geometry():
+    static = net.precompute_static(small_mesh(), small_config())
+    assert [f.name for f in dataclasses.fields(static)] == [
+        "adjacency", "geo_terms", "geom_terms", "first_regions"]
+    F = small_mesh().num_faces
+    assert static.geo_terms.shape == (F, 3, 3) and static.geom_terms.shape == (F, 4, 3)
 
 
 def test_small_mesh_skips_pooling():

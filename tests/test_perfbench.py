@@ -1,8 +1,10 @@
 """The benchmark in ``perfbench/`` still runs against this source tree:
 every name its tracer wraps exists and is called through the module global
-it wraps, a traced pooling stage reports its counts, the pooling stage
-and a training step pass the benchmark's own output checks, and one round
-of each training workload runs with no failed operation."""
+it wraps, a traced pooling stage reports its counts, a traced pool job and
+a traced training step and set-up give their descriptor and geometry
+layers time, the pooling stage and a training step pass the benchmark's
+own output checks, and one round of each training workload runs with no
+failed operation."""
 
 import sys
 from pathlib import Path
@@ -60,6 +62,24 @@ def test_traced_pool_job_attributes_descriptor_and_geometry(tmp_path, capsys):
     # cli.descriptor_forward, then the geodesic and geometric forwards
     assert spans.count("descriptors.forward") == 3
     assert spans.count("descriptors.terms") == 2
+
+
+def test_traced_training_step_attributes_descriptor_and_geometry():
+    # one precompute_static (set-up) and one workloads._step, each traced
+    config = network.ModelConfig(num_classes=3)
+    mesh, label, static = workloads._training_builders(0, config)[0]()
+    params = network.init_params(config, np.random.default_rng(0))
+    tracer = tracing.LayerTracer()
+    tracer.conv_blocks.update({id(cp): i // config.convs_per_block
+                               for i, cp in enumerate(params.conv_layers)})
+    with tracer.traced("setup"):
+        network.precompute_static(mesh, config)
+    with tracer.traced("step"):
+        workloads._step((mesh, label, static), params, config)
+    metrics = tracer.metrics()
+    for name in ("descriptors.forward.ms", "descriptors.backward.ms",
+                 "descriptors.terms.ms", "core.compute_geometry.ms"):
+        assert metrics[name][0] > 0, name
 
 
 def test_training_step_passes_directional_derivative_check():

@@ -11,7 +11,8 @@ from meshlearn import pooling
 from meshlearn.core import (NONE, Mesh, build_adjacency, compute_geometry,
                             euler_characteristic, normalize_mesh, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
-from meshlearn.descriptors import descriptor_forward, init_descriptor_params
+from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
+                                   descriptor_forward, init_descriptor_params)
 from meshlearn.network import _replay_pool
 from meshlearn.pooling import (PassRecord, PooledMesh, PoolPlan, Provenance,
                                apply_pass, compute_face_weights, plan_pass,
@@ -28,7 +29,8 @@ def _desc_features(mesh, seed=0, k=3):
     adj = build_adjacency(mesh)
     geo = compute_geometry(mesh)
     params = init_descriptor_params(k, k, np.random.default_rng(seed))
-    return adj, descriptor_forward(mesh, adj, geo, params)
+    return adj, descriptor_forward(compute_geodesic_terms(mesh, adj, geo),
+                                   compute_geometric_terms(mesh, adj, geo), params)
 
 
 def _count_tries(monkeypatch) -> Counter:
@@ -588,7 +590,8 @@ def _rotation_safe_selection(mesh):
     params = init_descriptor_params(2, 2, rng)
     params.geo[:, 2] = 0.0          # zero the componentwise-abs terms
     params.geom[:, 2:] = 0.0
-    feats = descriptor_forward(mesh, adj, geo, params)
+    feats = descriptor_forward(compute_geodesic_terms(mesh, adj, geo),
+                               compute_geometric_terms(mesh, adj, geo), params)
     weights = compute_face_weights(feats, adj)
     plan = plan_pass(mesh, adj, weights, mesh.num_faces // 2)
     return weights, [r.center for r in plan.regions]
