@@ -8,9 +8,9 @@ import pytest
 import meshlearn.network as net
 from meshlearn.conv import ConvParams
 from meshlearn.core import build_adjacency, compute_geometry, normalize_mesh
+from meshlearn.data import SyntheticSpec, generate_synthetic, icosphere, torus
 from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
                                    descriptor_forward)
-from meshlearn.data import SyntheticSpec, generate_synthetic, icosphere, torus
 
 from conftest import jitter_mesh
 
@@ -121,10 +121,11 @@ def test_first_conv_input_is_descriptor_forward_of_terms():
 
 
 def test_static_inputs_keep_terms_not_geometry():
-    static = net.precompute_static(small_mesh(), small_config())
+    mesh = small_mesh()
+    static = net.precompute_static(mesh, small_config())
     assert [f.name for f in dataclasses.fields(static)] == [
         "adjacency", "geo_terms", "geom_terms", "first_regions"]
-    F = small_mesh().num_faces
+    F = mesh.num_faces
     assert static.geo_terms.shape == (F, 3, 3) and static.geom_terms.shape == (F, 4, 3)
 
 
