@@ -2,9 +2,9 @@
 face-collapse pooling on triangle meshes, with hand-written backprop."""
 
 from .core import (NONE, AdjacencyMatrix, GeometryCache, Mesh, MeshError,
-                   ValidationReport, build_adjacency, compute_geometry,
-                   euler_characteristic, load_mesh, normalize_mesh, save_off,
-                   validate_mesh)
+                   NumericalError, ValidationReport, build_adjacency,
+                   compute_geometry, euler_characteristic, load_mesh,
+                   normalize_mesh, save_off, validate_mesh)
 from .descriptors import (DescriptorParams, compute_geodesic_terms,
                           compute_geometric_terms, descriptor_backward,
                           descriptor_forward, geodesic_forward,

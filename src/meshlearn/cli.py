@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 computational failure (failed gradient check,
-pooling stall under --strict), 2 usage or I/O error. Config files are
+pooling stall under --strict, non-finite values), 2 usage or I/O error. Config files are
 flat ``key=value`` lines with ``#`` comments; unknown keys are rejected.
 """
 
@@ -21,9 +21,9 @@ from . import descriptors as desc
 from . import network as net
 from . import pooling as poolmod
 from . import training
-from .core import (MeshError, build_adjacency, compute_geometry,
-                   euler_characteristic, load_mesh, normalize_mesh, save_off,
-                   validate_mesh)
+from .core import (MeshError, NumericalError, build_adjacency,
+                   compute_geometry, euler_characteristic, load_mesh,
+                   normalize_mesh, save_off, validate_mesh)
 from .data import (Dataset, SyntheticSpec, generate_synthetic, load_dataset,
                    make_splits)
 from .descriptors import descriptor_forward, init_descriptor_params
@@ -320,6 +320,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except NumericalError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
     except (MeshError, ckpt.CheckpointError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

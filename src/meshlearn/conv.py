@@ -16,8 +16,10 @@ over a region is K - 1 adds of whole (F, C) slabs, in slot order. That is
 the order in which NumPy reduces a face-major (F, K, C) array, with one
 exception: with one channel, NumPy sums a contiguous face-major row
 pairwise once K >= 8, so a one-channel slot sum reduces a face-major copy
-instead. The backward cache keeps ``valid`` and ``diff`` as transposed
-(F, K, ...) views of the slot-major arrays. The backward pass scatters
+instead. The backward cache keeps the sums, the pre-activation and the
+int8 signs of the slot-major differences, the only part of them the
+backward pass reads; ``diff`` and ``valid`` are rebuilt as face-major
+(F, K, ...) views when looked up. The backward pass scatters
 through the CSR, each face's terms in ascending source face as
 ``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
 added their +-0.0 onto face 0, which changed no finite result: a gradient
@@ -151,24 +153,50 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0)
 
 
-def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
-                 activation: bool = True) -> tuple[np.ndarray, dict]:
-    """Apply the three-term convolution; returns (out, backward cache)."""
-    if features.shape[0] != regions.num_faces:
-        raise ValueError("features row count does not match region table")
-    if features.shape[1] != params.in_channels:
-        raise ValueError("feature channels do not match conv params")
+def _differences(features: np.ndarray, regions: RegionTable) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, F, C) neighbour differences ``d_f - d_n``, 0 in padding, and
+    the (F, C) neighbour sum ``s1``."""
     pad, valid = regions.padded, regions.valid
     diff = features[regions.idx]                           # (K, F, C)
     diff[:, pad] *= valid[:, pad, None]
     s1 = _slot_sum(diff)
     np.subtract(features, diff, out=diff)
     diff[:, pad] = np.where(valid[:, pad, None], diff[:, pad], 0.0)
-    s2 = _slot_sum(np.abs(diff))
+    return diff, s1
+
+
+class ConvCache(dict):
+    """Backward cache of one ``conv_forward``: ``s1``, ``s2``, ``z`` and the
+    int8 ``sign`` (K, F, C) of the neighbour differences. ``diff`` and
+    ``valid``, as face-major (F, K, ...) views, are rebuilt on each lookup
+    from the layer input and region table, byte for byte as the forward
+    pass computed them, so the cache never holds the float64 differences."""
+
+    def __init__(self, features: np.ndarray, regions: RegionTable, **arrays):
+        super().__init__(**arrays)
+        self.features, self.regions = features, regions
+
+    def __missing__(self, key):
+        if key == "diff":
+            return _differences(self.features, self.regions)[0].transpose(1, 0, 2)
+        if key == "valid":
+            return self.regions.valid.T
+        raise KeyError(key)
+
+
+def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
+                 activation: bool = True) -> tuple[np.ndarray, ConvCache]:
+    """Apply the three-term convolution; returns (out, backward cache)."""
+    if features.shape[0] != regions.num_faces:
+        raise ValueError("features row count does not match region table")
+    if features.shape[1] != params.in_channels:
+        raise ValueError("feature channels do not match conv params")
+    diff, s1 = _differences(features, regions)
+    sign = np.sign(diff, out=np.empty(diff.shape, np.int8), casting="unsafe")
+    s2 = _slot_sum(np.abs(diff, out=diff))
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
-    return out, {"valid": valid.T, "diff": diff.transpose(1, 0, 2),
-                 "s1": s1, "s2": s2, "z": z}
+    return out, ConvCache(features, regions, s1=s1, s2=s2, z=z, sign=sign)
 
 
 def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams,
@@ -176,6 +204,9 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     """Adjoint of conv_forward, given the cache of its forward pass.
 
     Returns (grad_features, grad_params). The |x| subgradient at 0 is 0.
+    The stored int8 sign of a -0.0 difference is 0, where ``np.sign``
+    gives -0.0; that changes no bit, since each term it enters is added to
+    or subtracted from a matrix product (``gz @ w0``, ``h1``), never -0.0.
     """
     if grad_out.shape != (features.shape[0], params.out_channels):
         raise ValueError("grad_out shape mismatch")
@@ -183,7 +214,7 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     gz = grad_out * (z > 0) if activation else grad_out
     h1 = gz @ params.w1   # (F, C_in) pull-back of the neighbor sum
     h2 = gz @ params.w2   # pull-back of the abs-diff sum
-    sign = np.sign(cache["diff"].transpose(1, 0, 2))      # (K, F, C_in)
+    sign = cache["sign"].astype(np.float64)                # (K, F, C_in)
     grad_features = gz @ params.w0
     # sums of -1/0/1 are exact in any order, so no one-channel rule here
     grad_features += h2 * sign.sum(axis=0)

@@ -27,6 +27,11 @@ class MeshError(ValueError):
     """Raised for malformed mesh files or invalid mesh operations."""
 
 
+class NumericalError(ArithmeticError):
+    """Raised when a computation yields a non-finite value: a computational
+    failure, not a usage error."""
+
+
 @dataclass
 class Mesh:
     """A triangle mesh: V x 3 vertex coordinates and F x 3 face indices.

@@ -17,7 +17,8 @@ import numpy as np
 from . import conv as convmod
 from . import descriptors as desc
 from . import pooling as poolmod
-from .core import AdjacencyMatrix, Mesh, build_adjacency, compute_geometry
+from .core import (AdjacencyMatrix, Mesh, NumericalError, build_adjacency,
+                   compute_geometry)
 
 # Most elements ``init_params`` may allocate for one config (800 MB of float64)
 MAX_PARAMS = 10**8
@@ -171,7 +172,8 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
 
     With ``replay`` given, region tables and pool plans are taken from the
     earlier tape instead of being recomputed, freezing all discrete
-    choices (for gradient checking).
+    choices (for gradient checking). Raises ``NumericalError`` when the
+    logits, or the pooling saliency on the way, are not finite.
     """
     if static is None:
         static = replay.static if replay is not None else precompute_static(mesh, config)
@@ -204,7 +206,10 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
         cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
     tape.gap_input = feats
     tape.gap_output = global_average_pool(feats)
-    return params.classifier_w @ tape.gap_output + params.classifier_b, tape
+    logits = params.classifier_w @ tape.gap_output + params.classifier_b
+    if not np.isfinite(logits).all():
+        raise NumericalError(f"non-finite logits {logits}")
+    return logits, tape
 
 
 def _replay_pool(feats: np.ndarray, recorded: poolmod.PooledMesh) -> poolmod.PooledMesh:
@@ -270,11 +275,12 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
 
 def _kink_signs(tape: Tape, config: ModelConfig) -> list[np.ndarray]:
     """Signs of every abs/ReLU argument of a forward pass: the conv
-    neighbour differences and the pre-activations a ReLU follows."""
+    neighbour differences, as the cache stores them, and the
+    pre-activations a ReLU follows."""
     signs = []
     for b, bt in enumerate(tape.blocks):
         for l, cache in enumerate(bt.conv_caches):
-            signs.append(np.sign(cache["diff"]))
+            signs.append(cache["sign"])
             if config.layer_activation(b, l):
                 signs.append(np.sign(cache["z"]))
     return signs

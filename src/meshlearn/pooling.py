@@ -33,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CSR, NONE, AdjacencyMatrix, Mesh, MeshError, build_adjacency
+from .core import (CSR, NONE, AdjacencyMatrix, Mesh, MeshError, NumericalError,
+                   build_adjacency)
 
 
 @dataclass
@@ -111,7 +112,9 @@ class PooledMesh:
 
 def compute_face_weights(features: np.ndarray, adj: AdjacencyMatrix) -> np.ndarray:
     """Per-face saliency: sum of squared feature distances to the (up to
-    three) edge-neighbors; missing neighbors contribute 0."""
+    three) edge-neighbors; missing neighbors contribute 0. Raises
+    ``NumericalError``, without an overflow warning, when a weight is not
+    finite."""
     if features.shape[0] != adj.num_faces:
         raise ValueError("features row count does not match adjacency")
     nb = adj.neighbors
@@ -120,12 +123,16 @@ def compute_face_weights(features: np.ndarray, adj: AdjacencyMatrix) -> np.ndarr
     # documented reduction order that a scalar reference loop reproduces
     # bit-exactly; one channel at a time, never an F x 3 x C difference
     sq = np.zeros(nb.shape)
-    for c in range(features.shape[1]):
-        col = features[:, c]
-        d = col[:, None] - col[safe]
-        sq += d * d
-    sq[nb == NONE] = 0.0
-    return (sq[:, 0] + sq[:, 1]) + sq[:, 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(features.shape[1]):
+            col = features[:, c]
+            d = col[:, None] - col[safe]
+            sq += d * d
+        sq[nb == NONE] = 0.0
+        weights = (sq[:, 0] + sq[:, 1]) + sq[:, 2]
+    if not np.isfinite(weights).all():
+        raise NumericalError("pooling saliency is not finite: the features overflow")
+    return weights
 
 
 def _face_components(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,9 @@
 
 Everything is deterministic given the seed: dataset order, shuffling,
 parameter init and gradient reduction order are all fixed. Meshes within
-a batch may be processed by a thread pool; per-mesh gradients are summed
-in batch-index order afterwards, so the thread count never changes the
-result.
+a batch may be processed by a thread pool; each per-mesh gradient set is
+added to the batch sum as it arrives, in batch-index order, so the thread
+count never changes the result.
 """
 
 from __future__ import annotations
@@ -116,19 +116,21 @@ def _predict(item, params, config):
     return int(np.argmax(logits) == label)
 
 
-def _map(fn, items, threads: int) -> list:
-    """``fn`` of each item, in order (``ex.map`` keeps it), on ``threads`` threads."""
+def _map(fn, items, threads: int):
+    """Yield ``fn`` of each item, in order (``ex.map`` keeps it), on
+    ``threads`` threads."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return list(map(fn, items))
+            yield from ex.map(fn, items)
+    else:
+        yield from map(fn, items)
 
 
 def evaluate(prepared, params, config, threads: int = 1) -> list[int]:
     """Per prepared sample, 1 if its prediction is its label, else 0."""
     if not prepared:
         raise ValueError("empty evaluation split")
-    return _map(lambda it: _predict(it, params, config), prepared, threads)
+    return list(_map(lambda it: _predict(it, params, config), prepared, threads))
 
 
 def train(train_samples, test_samples, model_config: net.ModelConfig,

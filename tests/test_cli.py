@@ -418,6 +418,22 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys, defect):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_huge_checkpoint_weights_exit_1(tmp_path, capsys):
+    """Finite weights whose features overflow the pooling saliency: the
+    logits stay finite, so only the saliency check catches them."""
+    config = _small_config()
+    _, root = _synthetic_root(tmp_path, per_class=1)
+    params = net.init_params(config)
+    params.conv_layers[0].w0 *= 1e200
+    ckpt_path = str(tmp_path / "huge.ckpt")
+    save_checkpoint(ckpt_path, params, config)
+    assert run(["eval", ckpt_path, "--data", root]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert "Traceback" not in captured.err and "overall_acc" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # bench and gradcheck
 
@@ -562,12 +578,14 @@ def eval_inputs(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_eval_mutated_checkpoint_exit_0_or_2(eval_inputs, tmp_path_factory, data):
+    """Exit 0, or 1 (non-finite values) or 2 (rejected checkpoint) with a
+    one-line error."""
     root, good = eval_inputs
     path = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt")
     with open(path, "wb") as fh:
         fh.write(mutate_bytes(good, data.draw, data.draw(st.sampled_from([64, 400, None]))))
     code, err = _run_captured(["eval", path, "--data", root])
-    assert code == 0 or (code == 2 and err.startswith("error: ")), err
+    assert code == 0 or (code in (1, 2) and err.startswith("error: ")), err
 
 
 @settings(max_examples=200, deadline=None)

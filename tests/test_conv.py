@@ -311,12 +311,16 @@ def test_conv_matches_oracle_bytes(activation):
             out, cache = conv_forward(feats, regions, params, activation=activation)
             ref_out, ref_cache = oracle_conv_forward(
                 feats, regions, params, activation=activation)
-            gf, gp = conv_backward(feats, regions, params, grad_out, cache,
+            # the stored arrays alone, where a "diff" lookup raises
+            gf, gp = conv_backward(feats, regions, params, grad_out, dict(cache),
                                    activation=activation)
             ref_gf, ref_gp = oracle_conv_backward(
                 feats, regions, params, grad_out, activation=activation)
             assert out.tobytes() == ref_out.tobytes()
             assert cache["diff"].tobytes() == ref_cache["diff"].tobytes()
+            assert cache["valid"].tobytes() == ref_cache["valid"].tobytes()
+            assert np.array_equal(cache["sign"],
+                                  np.sign(ref_cache["diff"]).transpose(1, 0, 2))
             assert cache["z"].tobytes() == ref_cache["z"].tobytes()
             assert gf.tobytes() == ref_gf.tobytes()
             assert grad_out is not quiet or not gf[0].any()

@@ -7,7 +7,8 @@ import pytest
 
 import meshlearn.network as net
 from meshlearn.conv import ConvParams
-from meshlearn.core import build_adjacency, compute_geometry, normalize_mesh
+from meshlearn.core import (NumericalError, build_adjacency, compute_geometry,
+                            normalize_mesh)
 from meshlearn.data import SyntheticSpec, generate_synthetic, icosphere, torus
 from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
                                    descriptor_forward)
@@ -127,6 +128,38 @@ def test_static_inputs_keep_terms_not_geometry():
         "adjacency", "geo_terms", "geom_terms", "first_regions"]
     F = mesh.num_faces
     assert static.geo_terms.shape == (F, 3, 3) and static.geom_terms.shape == (F, 4, 3)
+
+
+def test_conv_caches_keep_signs_not_differences():
+    """A default-config step on a 512-face mesh: no conv cache owns the
+    float64 (K, F, C) neighbour differences, which stay readable as
+    ``diff``, and the caches hold at most 55% of the bytes they held with
+    ``diff`` stored in place of the int8 ``sign``."""
+    mesh = normalize_mesh(jitter_mesh(icosphere(3, base="octahedron"),
+                                      np.random.default_rng(4)))
+    config = net.ModelConfig(num_classes=3)
+    _, tape = net.model_forward(mesh, net.init_params(config), config)
+    held = with_diff = 0
+    for bt in tape.blocks:
+        K, F = bt.regions.idx.shape
+        for x, cache in zip(bt.conv_inputs, bt.conv_caches):
+            assert cache.features is x
+            assert not any(a.dtype == np.float64 and a.size == K * x.size
+                           for a in cache.values())
+            assert cache["diff"].shape == (F, K, x.shape[1])
+            nbytes = sum(a.nbytes for a in cache.values())
+            held += nbytes
+            with_diff += nbytes - cache["sign"].nbytes + 8 * cache["sign"].size
+    assert held <= 0.55 * with_diff
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_logits_raise_numerical_error():
+    config = small_config()
+    params = net.init_params(config)
+    params.classifier_b[1] = np.inf
+    with pytest.raises(NumericalError, match="non-finite logits"):
+        net.model_forward(small_mesh(), params, config)
 
 
 def test_small_mesh_skips_pooling():

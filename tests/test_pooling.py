@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshlearn import pooling
-from meshlearn.core import (NONE, Mesh, build_adjacency, compute_geometry,
-                            euler_characteristic, normalize_mesh, validate_mesh)
+from meshlearn.core import (NONE, Mesh, NumericalError, build_adjacency,
+                            compute_geometry, euler_characteristic,
+                            normalize_mesh, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
                                    descriptor_forward, init_descriptor_params)
@@ -83,6 +84,19 @@ def test_weights_shape_mismatch(rng):
     adj = build_adjacency(tetrahedron())
     with pytest.raises(ValueError, match="row count"):
         compute_face_weights(rng.normal(size=(5, 2)), adj)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_weights_not_finite_raise_numerical_error(rng, value):
+    """Finite features whose squared distances overflow, and non-finite
+    features, raise the typed error, not a ValueError, with no warning."""
+    adj = build_adjacency(tetrahedron())
+    feats = rng.normal(size=(4, 2))
+    feats[1, 0] *= value
+    assert not issubclass(NumericalError, ValueError)
+    with pytest.raises(NumericalError, match="not finite"):
+        compute_face_weights(feats, adj)
 
 
 # ---------------------------------------------------------------------------
