@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 computational failure (failed gradient check,
-pooling stall under --strict, non-finite values), 2 usage or I/O error. Config files are
-flat ``key=value`` lines with ``#`` comments; unknown keys are rejected.
+pooling stall under --strict, non-finite values), 2 usage or I/O error.
+Config files are flat ``key=value`` lines with ``#`` comments; unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -320,12 +321,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NumericalError as e:
+    except (NumericalError, MeshError, ckpt.CheckpointError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    except (MeshError, ckpt.CheckpointError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FAIL if isinstance(e, NumericalError) else EXIT_USAGE
 
 
 if __name__ == "__main__":
