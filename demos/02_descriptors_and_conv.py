@@ -40,9 +40,9 @@ print("conv output:", out.shape)
 
 # order invariance: shuffling every region row leaves the output bit-equal
 members = regions.members.copy()
-for f in range(members.shape[0]):
-    n = regions.counts[f]
+counts = (members >= 0).sum(axis=1)   # rows are padded with -1
+for f, n in enumerate(counts):
     members[f, :n] = rng.permutation(members[f, :n])
-shuffled = RegionTable(regions.kernel_size, members, regions.counts.copy())
+shuffled = RegionTable(members)
 print("order-invariant (bit-identical):",
       np.array_equal(conv_forward(feats, shuffled, conv)[0], out))

@@ -11,9 +11,8 @@ from .descriptors import (DescriptorParams, compute_geodesic_terms,
                           geometric_forward, init_descriptor_params)
 from .conv import (ConvParams, RegionTable, build_regions, conv_backward,
                    conv_forward, init_conv_params)
-from .pooling import (PoolPlan, PoolRegion, PooledMesh, apply_pass,
-                      compute_face_weights, plan_pass, pool_to_target,
-                      pooling_backward)
+from .pooling import (PoolPlan, PooledMesh, apply_pass, compute_face_weights,
+                      plan_pass, pool_to_target, pooling_backward)
 from .network import (ModelConfig, ModelParams, cross_entropy_loss,
                       global_average_pool, grad_check, init_params,
                       model_backward, model_forward, precompute_static)

@@ -40,19 +40,17 @@ from .core import CSR, NONE, AdjacencyMatrix
 class RegionTable:
     """Per-face convolution support.
 
-    ``members[f]`` holds up to ``kernel_size`` surrounding face ids in BFS
-    discovery order, padded with -1; ``counts[f]`` is the actual number.
-    A row is shorter than K only when the face's connected component has
-    fewer than K+1 faces. Derived on construction, slot-major: ``idx``
+    ``members[f]`` holds up to K (its column count) surrounding face ids
+    in BFS discovery order, padded with -1 at the end. A row is shorter
+    than K only when the face's connected component has fewer than K+1
+    faces. Derived on construction, slot-major: ``idx``
     (K, F), whose column f is ``members[f]`` ascending with padding last
     as face 0, its mask ``valid`` (K, F), the ``padded`` face ids, and
     ``scatter``, whose row g lists the positions ``k*F + f`` of ``idx``
     holding face g in ascending source face f. No face-major copy is kept.
     """
 
-    kernel_size: int
     members: np.ndarray  # (F, K) int64, -1 padding
-    counts: np.ndarray   # (F,) int64
 
     def __post_init__(self):
         F, K = self.members.shape
@@ -73,7 +71,9 @@ class RegionTable:
         return self.members.shape[0]
 
     def row(self, f: int) -> list[int]:
-        return self.members[f, : self.counts[f]].tolist()
+        """The surrounding faces of f in BFS order, without padding."""
+        r = self.members[f]
+        return r[r >= 0].tolist()
 
 
 def build_regions(adj: AdjacencyMatrix, kernel_size: int) -> RegionTable:
@@ -100,7 +100,7 @@ def build_regions(adj: AdjacencyMatrix, kernel_size: int) -> RegionTable:
             rows = rows[new]
             M[rows, n[rows]] = cand[new]
             n[rows] += 1
-    return RegionTable(kernel_size, M[:, 1:].copy(), n - 1)
+    return RegionTable(M[:, 1:].copy())
 
 
 @dataclass

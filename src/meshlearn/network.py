@@ -152,8 +152,7 @@ def precompute_static(mesh: Mesh, config: ModelConfig) -> StaticInputs:
 @dataclass
 class BlockTape:
     regions: convmod.RegionTable
-    conv_inputs: list[np.ndarray]
-    conv_caches: list[dict]
+    conv_caches: list[convmod.ConvCache]   # each holds its layer's input
     pool: poolmod.PooledMesh
 
 
@@ -161,7 +160,6 @@ class BlockTape:
 class Tape:
     static: StaticInputs
     blocks: list[BlockTape] = field(default_factory=list)
-    gap_input: np.ndarray | None = None
     gap_output: np.ndarray | None = None
 
 
@@ -172,41 +170,40 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
 
     With ``replay`` given, region tables and pool plans are taken from the
     earlier tape instead of being recomputed, freezing all discrete
-    choices (for gradient checking). Raises ``NumericalError`` when the
-    logits, or the pooling saliency on the way, are not finite.
+    choices (for gradient checking). Raises ``NumericalError``, with no
+    overflow warning, when the logits or the pooling saliency are not finite.
     """
     if static is None:
         static = replay.static if replay is not None else precompute_static(mesh, config)
-    feats = desc.descriptor_forward(static.geo_terms, static.geom_terms, params.descriptor)
-    tape = Tape(static=static)
-    cur_mesh, cur_adj = mesh, static.adjacency
-    layer_idx = 0
-    for b in range(config.num_blocks):
-        if replay is not None:
-            regions = replay.blocks[b].regions
-        elif b == 0:
-            regions = static.first_regions
-        else:
-            regions = convmod.build_regions(cur_adj, config.region_sizes[b])
-        inputs, caches = [], []
-        for l in range(config.convs_per_block):
-            inputs.append(feats)
-            feats, cache = convmod.conv_forward(
-                feats, regions, params.conv_layers[layer_idx],
-                activation=config.layer_activation(b, l))
-            caches.append(cache)
-            layer_idx += 1
-        if replay is not None:
-            pooled = _replay_pool(feats, replay.blocks[b].pool)
-        else:
-            pooled = poolmod.pool_to_target(cur_mesh, cur_adj, feats,
-                                            config.t_schedule[b])
-        tape.blocks.append(BlockTape(regions=regions, conv_inputs=inputs,
-                                     conv_caches=caches, pool=pooled))
-        cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
-    tape.gap_input = feats
-    tape.gap_output = global_average_pool(feats)
-    logits = params.classifier_w @ tape.gap_output + params.classifier_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = desc.descriptor_forward(static.geo_terms, static.geom_terms, params.descriptor)
+        tape = Tape(static=static)
+        cur_mesh, cur_adj = mesh, static.adjacency
+        layer_idx = 0
+        for b in range(config.num_blocks):
+            if replay is not None:
+                regions = replay.blocks[b].regions
+            elif b == 0:
+                regions = static.first_regions
+            else:
+                regions = convmod.build_regions(cur_adj, config.region_sizes[b])
+            caches = []
+            for l in range(config.convs_per_block):
+                feats, cache = convmod.conv_forward(
+                    feats, regions, params.conv_layers[layer_idx],
+                    activation=config.layer_activation(b, l))
+                caches.append(cache)
+                layer_idx += 1
+            if replay is not None:
+                pooled = _replay_pool(feats, replay.blocks[b].pool)
+            else:
+                pooled = poolmod.pool_to_target(cur_mesh, cur_adj, feats,
+                                                config.t_schedule[b])
+            tape.blocks.append(BlockTape(regions=regions, conv_caches=caches,
+                                         pool=pooled))
+            cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
+        tape.gap_output = global_average_pool(feats)
+        logits = params.classifier_w @ tape.gap_output + params.classifier_b
     if not np.isfinite(logits).all():
         raise NumericalError(f"non-finite logits {logits}")
     return logits, tape
@@ -248,7 +245,7 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
     grads.classifier_w[:] = np.outer(grad_logits, tape.gap_output)
     grads.classifier_b[:] = grad_logits
     grad_gap = params.classifier_w.T @ grad_logits
-    F_last = tape.gap_input.shape[0]
+    F_last = tape.blocks[-1].pool.features.shape[0]
     grad_feats = np.tile(grad_gap / F_last, (F_last, 1))
 
     layer_idx = len(params.conv_layers)
@@ -257,10 +254,10 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
         grad_feats = poolmod.pooling_backward(bt.pool.passes, grad_feats)
         for l in range(config.convs_per_block - 1, -1, -1):
             layer_idx -= 1
+            cache = bt.conv_caches[l]
             grad_feats, gp = convmod.conv_backward(
-                bt.conv_inputs[l], bt.regions, params.conv_layers[layer_idx],
-                grad_feats, bt.conv_caches[l],
-                activation=config.layer_activation(b, l))
+                cache.features, bt.regions, params.conv_layers[layer_idx],
+                grad_feats, cache, activation=config.layer_activation(b, l))
             grads.conv_layers[layer_idx] = gp
     dgrad = desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
                                      params.descriptor, grad_feats)

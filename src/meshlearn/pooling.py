@@ -37,16 +37,6 @@ from .core import (CSR, NONE, AdjacencyMatrix, Mesh, MeshError, NumericalError,
                    build_adjacency)
 
 
-@dataclass
-class PoolRegion:
-    """One planned collapse: the center face, the faces that disappear
-    and the center vertices that merge at the face's centroid."""
-
-    center: int
-    removed: list[int]        # sorted; {center} + its 3 edge-neighbors
-    old_vertices: list[int]   # sorted; the 3 vertex ids of the center face
-
-
 class Provenance(CSR):
     """Feature-averaging provenance of one pass: new face j is the mean of
     old faces ``self[j]``, ascending."""
@@ -73,20 +63,15 @@ class Provenance(CSR):
 
 @dataclass
 class PoolPlan:
-    """A full pooling pass: compatible regions plus the dense remaps and
-    feature-averaging provenance they induce."""
+    """A full pooling pass: the center face of each collapse in selection
+    order, which fixes the rest (it and its three edge-neighbors vanish,
+    and the r-th of R centers' vertices merge into new vertex V' - R + r),
+    plus the dense remaps and feature-averaging provenance they induce."""
 
-    regions: list[PoolRegion]
+    regions: list[int]
     face_remap: np.ndarray     # (F,) old -> new face id, REMOVED = -1
     vertex_remap: np.ndarray   # (V,) old -> new vertex id
-    merged_ids: np.ndarray     # (R,) new vertex id per region
     provenance: Provenance
-    num_new_faces: int
-    num_new_vertices: int
-
-    @property
-    def num_removed(self) -> int:
-        return sum(len(r.removed) for r in self.regions)
 
 
 @dataclass
@@ -268,7 +253,7 @@ class _PassState:
         lost = [rep[v] for h in nbs for v in self.faces[h] if v not in cvs]
         if any(self.vcount[v] <= lost.count(v) for v in lost):
             return None
-        return sorted([f, *nbs]), ring, lost, sorted(cvs)
+        return [f, *nbs], ring, lost, cvs
 
     def defer(self, f: int) -> None:
         """Watch a face the simulation rejected for now: put it on the list
@@ -328,7 +313,7 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     F = mesh.num_faces
     projected = F
     if projected <= target:
-        return _finalize_plan(mesh, [])
+        return _finalize_plan(mesh, adj, [])
     state = _PassState(mesh, adj)
     alive, settled = state.alive, state.settled
     comp, comp_left = state.comp, state.comp_left
@@ -336,7 +321,7 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     position = np.empty(F, dtype=np.int64)
     position[order] = np.arange(F)
     order, position = order.tolist(), position.tolist()
-    regions: list[PoolRegion] = []
+    centers: list[int] = []
     retry: list[int] = []           # heap of positions of woken faces
     queued = [False] * F
     walk = 0                        # first position never tried
@@ -355,21 +340,20 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
         if cand is None:
             state.defer(f)
             continue
-        removed, _, _, cvs = cand
-        regions.append(PoolRegion(f, removed, cvs))
-        projected -= len(removed)
+        centers.append(f)
+        projected -= 4
         for w in state.commit(f, cand):
             if alive[w] and not settled[w] and not queued[w]:
                 queued[w] = True
                 heapq.heappush(retry, position[w])
-    return _finalize_plan(mesh, regions)
+    return _finalize_plan(mesh, adj, centers)
 
 
-def _finalize_plan(mesh: Mesh, regions: list[PoolRegion]) -> PoolPlan:
+def _finalize_plan(mesh: Mesh, adj: AdjacencyMatrix, centers: list[int]) -> PoolPlan:
     F, V = mesh.num_faces, mesh.num_vertices
-    removed = np.array([r.removed for r in regions], dtype=np.int64).reshape(-1, 4)
-    old_vertices = np.array([r.old_vertices for r in regions],
-                            dtype=np.int64).reshape(-1, 3)
+    c = np.array(centers, dtype=np.int64)
+    removed = np.column_stack([c, adj.neighbors[c]])
+    old_vertices = mesh.faces[c]
     survivors = np.flatnonzero(np.bincount(removed.ravel(), minlength=F) == 0)
     face_remap = np.full(F, -1, dtype=np.int64)
     face_remap[survivors] = np.arange(len(survivors))
@@ -378,8 +362,7 @@ def _finalize_plan(mesh: Mesh, regions: list[PoolRegion]) -> PoolPlan:
     n_survive = len(kept)
     vertex_remap = np.full(V, -1, dtype=np.int64)
     vertex_remap[kept] = np.arange(n_survive)
-    merged_ids = np.arange(n_survive, n_survive + len(regions), dtype=np.int64)
-    vertex_remap[old_vertices] = merged_ids[:, None]
+    vertex_remap[old_vertices] = np.arange(n_survive, n_survive + len(c))[:, None]
 
     # each survivor averages itself and, per merge point it holds, the
     # removed faces of that region sharing a vertex with it (it holds at
@@ -392,11 +375,8 @@ def _finalize_plan(mesh: Mesh, regions: list[PoolRegion]) -> PoolPlan:
     provenance = Provenance.from_pairs(
         np.concatenate([np.arange(len(survivors)), np.repeat(held, 4)[touch.ravel()]]),
         np.concatenate([survivors, lost[touch]]), len(survivors))
-    return PoolPlan(regions=regions, face_remap=face_remap,
-                    vertex_remap=vertex_remap, merged_ids=merged_ids,
-                    provenance=provenance,
-                    num_new_faces=len(survivors),
-                    num_new_vertices=n_survive + len(regions))
+    return PoolPlan(regions=centers, face_remap=face_remap,
+                    vertex_remap=vertex_remap, provenance=provenance)
 
 
 def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
@@ -414,10 +394,10 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
         raise MeshError("features do not match mesh")
 
     # surviving vertices keep their coordinates, merged ones get centroids
-    new_verts = np.empty((plan.num_new_vertices, 3))
+    new_verts = np.empty((plan.vertex_remap.max() + 1, 3))
     new_verts[plan.vertex_remap] = mesh.vertices
-    centers = mesh.faces[[r.center for r in plan.regions]]
-    new_verts[plan.merged_ids] = mesh.vertices[centers].mean(axis=1)
+    merged = mesh.faces[plan.regions]
+    new_verts[len(new_verts) - len(merged):] = mesh.vertices[merged].mean(axis=1)
 
     survive_f = plan.face_remap >= 0
     new_faces = plan.vertex_remap[mesh.faces[survive_f]]

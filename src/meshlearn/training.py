@@ -9,6 +9,7 @@ count never changes the result.
 
 from __future__ import annotations
 
+import copy
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -155,7 +156,7 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
 
     metrics: list[EpochMetrics] = []
     best_acc, best_epoch = -1.0, -1
-    best_params = _copy_params(params)
+    best_params = copy.deepcopy(params)
     for epoch in range(train_config.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(len(tr))
@@ -181,13 +182,8 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
             progress(em)
         if test_acc > best_acc:
             best_acc, best_epoch = test_acc, epoch
-            best_params = _copy_params(params)
+            best_params = copy.deepcopy(params)
         if stop_at_test_acc is not None and test_acc >= stop_at_test_acc:
             break
     return TrainResult(params=params, metrics=metrics, best_params=best_params,
                        best_test_acc=best_acc, best_epoch=best_epoch)
-
-
-def _copy_params(params: net.ModelParams) -> net.ModelParams:
-    import copy
-    return copy.deepcopy(params)

@@ -107,6 +107,20 @@ def rng():
     return np.random.default_rng(0)
 
 
+def assert_plan_matches_oracle(plan, oracle) -> None:
+    """The plan's arrays carry the oracle's (center, removed, old_vertices)
+    triples: the same centers in selection order, exactly the union of the
+    removed sets removed, and region r's three vertices, and no others,
+    merged into new vertex ``V' - R + r`` (V' new vertices, R regions)."""
+    assert plan.regions == [c for c, _, _ in oracle]
+    removed = sorted(h for _, rm, _ in oracle for h in rm)
+    assert np.flatnonzero(plan.face_remap < 0).tolist() == removed
+    R, top = len(oracle), int(plan.vertex_remap.max()) + 1
+    for r, (_, _, cvs) in enumerate(oracle):
+        assert (plan.vertex_remap[cvs] == top - R + r).all()
+    assert np.count_nonzero(plan.vertex_remap >= top - R) == 3 * R
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporter: one pass/fail line per criterion in the summary
 

@@ -23,7 +23,8 @@ from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_ter
                                    descriptor_forward, init_descriptor_params)
 from meshlearn.pooling import compute_face_weights, plan_pass, pool_to_target
 
-from conftest import closed_corpus, jitter_mesh, record_criterion, rigid_transform
+from conftest import (assert_plan_matches_oracle, closed_corpus, jitter_mesh,
+                      record_criterion, rigid_transform)
 from oracles import (oracle_adjacency, oracle_plan_pass, oracle_regions,
                      oracle_weights)
 
@@ -144,10 +145,7 @@ def test_criterion_3_oracle_equivalence():
 
         target = max(4, mesh.num_faces // 2)
         plan = plan_pass(mesh, adj, weights, target)
-        oracle = oracle_plan_pass(mesh, weights, target)
-        assert [(r.center, tuple(r.removed), tuple(r.old_vertices))
-                for r in plan.regions] \
-            == [(c, tuple(rm), tuple(cv)) for c, rm, cv in oracle], i
+        assert_plan_matches_oracle(plan, oracle_plan_pass(mesh, weights, target))
 
 
 @criterion(4, "adjacency/regions rigid-invariant (20 transforms), conv "
@@ -164,7 +162,6 @@ def test_criterion_4_invariance_suite():
         assert np.array_equal(adj.shared_edges, adj0.shared_edges)
         regions = build_regions(adj, 9)
         assert np.array_equal(regions.members, reg0.members)
-        assert np.array_equal(regions.counts, reg0.counts)
 
     # convolution: bit-identical under region-list permutation
     feats = rng.normal(size=(base.num_faces, 4))
@@ -173,9 +170,9 @@ def test_criterion_4_invariance_suite():
     for _ in range(10):
         members = reg0.members.copy()
         for f in range(members.shape[0]):
-            n = reg0.counts[f]
+            n = np.count_nonzero(members[f] >= 0)
             members[f, :n] = rng.permutation(members[f, :n])
-        shuffled = RegionTable(reg0.kernel_size, members, reg0.counts.copy())
+        shuffled = RegionTable(members)
         assert np.array_equal(conv_forward(feats, shuffled, cparams)[0], ref)
 
     # pooling selection: exact under axis permutation and translation
@@ -188,7 +185,7 @@ def test_criterion_4_invariance_suite():
         f = _descriptor_features(mesh, adj, params)
         w = compute_face_weights(f, adj)
         plan = plan_pass(mesh, adj, w, mesh.num_faces // 2)
-        return w, [r.center for r in plan.regions]
+        return w, plan.regions
 
     w0, sel0 = selection(base, abs_free=False)
     P = np.eye(3)[[2, 0, 1]]

@@ -344,6 +344,19 @@ def test_train_lr_zero_flat_metrics(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_overflowing_learning_rate_exit_1(tmp_path, capsys):
+    """A step that overflows the features ends in the typed error, with
+    no RuntimeWarning on the way and no metrics written."""
+    cfg = _write_config(tmp_path, "train.learning_rate = 1e300\n")
+    out = str(tmp_path / "run")
+    assert run(["train", "--synthetic", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "metrics.txt"))
+
+
 # ---------------------------------------------------------------------------
 # eval
 

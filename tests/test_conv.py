@@ -27,15 +27,15 @@ def test_build_regions_kernel_too_small():
 def test_tetrahedron_k3():
     adj = build_adjacency(tetrahedron())
     regions = build_regions(adj, 3)
+    assert regions.members.shape == (4, 3) and (regions.members >= 0).all()
     for f in range(4):
         assert sorted(regions.row(f)) == sorted(set(range(4)) - {f})
-        assert regions.counts[f] == 3
 
 
 def test_tetrahedron_k10_saturates():
     adj = build_adjacency(tetrahedron())
     regions = build_regions(adj, 10)
-    assert (regions.counts == 3).all()
+    assert (regions.members[:, :3] >= 0).all()
     assert (regions.members[:, 3:] == -1).all()
 
 
@@ -100,9 +100,11 @@ def test_regions_match_oracle_property(data):
         regions = build_regions(adj, K)
         expect = oracle_regions(adj.neighbors, K)
         assert [regions.row(f) for f in range(mesh.num_faces)] == expect
-        assert (regions.members[regions.members < 0] == -1).all()
-        assert regions.counts.tolist() == [len(r) for r in expect]
-    assert (regions.counts < padded_k).any()
+        padded = np.full((mesh.num_faces, K), -1)
+        for f, row in enumerate(expect):
+            padded[f, :len(row)] = row
+        assert np.array_equal(regions.members, padded)
+    assert (regions.members[:, -1] == -1).any()
 
 
 def test_regions_rigid_invariance(rng):
@@ -112,7 +114,6 @@ def test_regions_rigid_invariance(rng):
         moved = rigid_transform(base, rng)
         regions = build_regions(build_adjacency(moved), 9)
         assert np.array_equal(regions.members, ref.members)
-        assert np.array_equal(regions.counts, ref.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +158,9 @@ def test_order_invariance_bit_identical(rng):
     for _ in range(10):
         members = regions.members.copy()
         for f in range(members.shape[0]):
-            n = regions.counts[f]
+            n = np.count_nonzero(members[f] >= 0)
             members[f, :n] = rng.permutation(members[f, :n])
-        shuffled = RegionTable(regions.kernel_size, members, regions.counts.copy())
+        shuffled = RegionTable(members)
         out, _ = conv_forward(feats, shuffled, params)
         assert np.array_equal(out, ref)
 

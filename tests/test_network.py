@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import meshlearn.network as net
-from meshlearn.conv import ConvParams
+from meshlearn.conv import ConvParams, conv_forward
 from meshlearn.core import (NumericalError, build_adjacency, compute_geometry,
                             normalize_mesh)
 from meshlearn.data import SyntheticSpec, generate_synthetic, icosphere, torus
@@ -116,7 +116,7 @@ def test_first_conv_input_is_descriptor_forward_of_terms():
     adj, geo = build_adjacency(mesh), compute_geometry(mesh)
     want = descriptor_forward(compute_geodesic_terms(mesh, adj, geo),
                               compute_geometric_terms(mesh, adj, geo), params.descriptor)
-    got = tape.blocks[0].conv_inputs[0]
+    got = tape.blocks[0].conv_caches[0].features
     assert got.shape == want.shape == (512, config.descriptor_channels)
     assert got.tobytes() == want.tobytes()
 
@@ -142,8 +142,8 @@ def test_conv_caches_keep_signs_not_differences():
     held = with_diff = 0
     for bt in tape.blocks:
         K, F = bt.regions.idx.shape
-        for x, cache in zip(bt.conv_inputs, bt.conv_caches):
-            assert cache.features is x
+        for cache in bt.conv_caches:
+            x = cache.features
             assert not any(a.dtype == np.float64 and a.size == K * x.size
                            for a in cache.values())
             assert cache["diff"].shape == (F, K, x.shape[1])
@@ -151,6 +151,38 @@ def test_conv_caches_keep_signs_not_differences():
             held += nbytes
             with_diff += nbytes - cache["sign"].nbytes + 8 * cache["sign"].size
     assert held <= 0.55 * with_diff
+
+
+def test_conv_caches_hold_each_layer_input_once():
+    """The tape keeps each conv layer's input only as its cache's
+    ``features``: the previous layer's output, or the previous block's
+    pooled features. Backward from a replayed tape is byte-equal."""
+    config = small_config()
+    params = net.init_params(config)
+    mesh = small_mesh(seed=1)
+    logits, tape = net.model_forward(mesh, params, config)
+    assert [f.name for f in dataclasses.fields(net.BlockTape)] == [
+        "regions", "conv_caches", "pool"]
+    assert "gap_input" not in [f.name for f in dataclasses.fields(net.Tape)]
+    assert all(bt.pool.pass_count > 0 for bt in tape.blocks)
+    layer = 0
+    for b, bt in enumerate(tape.blocks):
+        for l, cache in enumerate(bt.conv_caches):
+            if l > 0:
+                prev = bt.conv_caches[l - 1]
+                out, _ = conv_forward(prev.features, bt.regions,
+                                      params.conv_layers[layer - 1],
+                                      activation=config.layer_activation(b, l - 1))
+                assert cache.features.tobytes() == out.tobytes()
+            elif b > 0:
+                assert cache.features is tape.blocks[b - 1].pool.features
+            layer += 1
+    proj = np.random.default_rng(2).normal(size=logits.shape)
+    _, replayed = net.model_forward(mesh, params, config, replay=tape)
+    for (_, g), (_, h) in zip(net.model_backward(tape, params, config, proj).named_arrays(),
+                              net.model_backward(replayed, params, config,
+                                                 proj).named_arrays()):
+        assert g.tobytes() == h.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

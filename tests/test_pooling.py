@@ -20,10 +20,10 @@ from meshlearn.pooling import (PassRecord, PooledMesh, PoolPlan, Provenance,
                                pool_to_target, pooling_backward,
                                _face_components, _finalize_plan)
 
-from conftest import (closed_corpus, disjoint_union, flip_edges, jitter_mesh,
-                      rigid_transform, tetrahedron)
-from oracles import (_components, oracle_adjacency, oracle_plan_pass,
-                     oracle_provenance, oracle_weights)
+from conftest import (assert_plan_matches_oracle, closed_corpus, disjoint_union,
+                      flip_edges, jitter_mesh, rigid_transform, tetrahedron)
+from oracles import (_components, _face_neighbors_from_list, oracle_adjacency,
+                     oracle_plan_pass, oracle_provenance, oracle_weights)
 
 
 def _desc_features(mesh, seed=0, k=3):
@@ -46,10 +46,6 @@ def _count_tries(monkeypatch) -> Counter:
 
     monkeypatch.setattr(pooling._PassState, "try_candidate", counting)
     return tries
-
-
-def _regions(plan):
-    return [(r.center, r.removed, r.old_vertices) for r in plan.regions]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +111,7 @@ def test_plan_already_at_target():
     adj = build_adjacency(mesh)
     plan = plan_pass(mesh, adj, np.zeros(20), 20)
     assert plan.regions == []
-    assert plan.num_new_faces == 20
+    assert len(plan.provenance) == 20
     assert np.array_equal(plan.face_remap, np.arange(20))
 
 
@@ -123,19 +119,19 @@ def test_icosahedron_t16_single_region():
     mesh = icosahedron()
     adj = build_adjacency(mesh)
     plan = plan_pass(mesh, adj, np.zeros(20), 16)
-    assert len(plan.regions) == 1
-    assert plan.regions[0].center == 0      # ties broken by lowest face id
-    assert len(plan.regions[0].removed) == 4
-    assert plan.num_new_faces == 16
+    assert plan.regions == [0]              # ties broken by lowest face id
+    assert np.flatnonzero(plan.face_remap < 0).tolist() \
+        == sorted([0, *adj.neighbors[0].tolist()])
+    assert len(plan.provenance) == 16
 
 
 def test_icosahedron_t12_two_regions():
     mesh = icosahedron()
     adj = build_adjacency(mesh)
     plan = plan_pass(mesh, adj, np.zeros(20), 12)
-    assert [r.center for r in plan.regions] == [0, 8]
-    assert plan.num_removed == 8
-    assert plan.num_new_faces == 12
+    assert plan.regions == [0, 8]
+    assert np.count_nonzero(plan.face_remap < 0) == 8
+    assert len(plan.provenance) == 12
     # centers are the lowest-id compatible faces under the greedy rule
     oracle = oracle_plan_pass(mesh, np.zeros(20), 12)
     assert [c for c, _, _ in oracle] == [0, 8]
@@ -147,10 +143,7 @@ def test_plan_matches_oracle_small_corpus():
         weights = compute_face_weights(feats, adj)
         target = max(4, mesh.num_faces // 2)
         plan = plan_pass(mesh, adj, weights, target)
-        oracle = oracle_plan_pass(mesh, weights, target)
-        assert [(r.center, tuple(r.removed), tuple(r.old_vertices))
-                for r in plan.regions] \
-            == [(c, tuple(rm), tuple(cv)) for c, rm, cv in oracle]
+        assert_plan_matches_oracle(plan, oracle_plan_pass(mesh, weights, target))
 
 
 PROPERTY_MESHES = [box(1), box(2), icosahedron(), icosphere(1), torus(5, 3),
@@ -173,9 +166,7 @@ def test_plan_matches_oracle_tied_weights_property(data):
                                           max_size=F)), dtype=float)
     target = data.draw(st.integers(4, F))
     plan = plan_pass(mesh, build_adjacency(mesh), weights, target)
-    oracle = oracle_plan_pass(mesh, weights, target)
-    assert [(r.center, r.removed, r.old_vertices) for r in plan.regions] \
-        == [(c, rm, cv) for c, rm, cv in oracle]
+    assert_plan_matches_oracle(plan, oracle_plan_pass(mesh, weights, target))
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +183,7 @@ def test_plan_matches_oracle_tied_weights_later_passes_property(data):
         weights = np.array(data.draw(st.lists(st.integers(0, 2), min_size=F,
                                               max_size=F)), dtype=float)
         plan = plan_pass(mesh, build_adjacency(mesh), weights, target)
-        assert _regions(plan) == oracle_plan_pass(mesh, weights, target)
+        assert_plan_matches_oracle(plan, oracle_plan_pass(mesh, weights, target))
         if not plan.regions:
             break
         mesh = apply_pass(mesh, np.zeros((F, 1)), plan).mesh
@@ -232,10 +223,10 @@ def test_plan_retry_heap_accepts_out_of_order(monkeypatch):
     tries = _count_tries(monkeypatch)
     plan = plan_pass(mesh, build_adjacency(mesh), weights, 4)
     order = np.lexsort((np.arange(12), weights)).tolist()
-    assert [order.index(r.center) for r in plan.regions] == [2, 0]
+    assert [order.index(c) for c in plan.regions] == [2, 0]
     # face 2 was deferred, woken by the commit and accepted on its retry
-    assert plan.regions[1].center == 2 and tries[2] == 2
-    assert _regions(plan) == oracle_plan_pass(mesh, weights, 4)
+    assert plan.regions[1] == 2 and tries[2] == 2
+    assert_plan_matches_oracle(plan, oracle_plan_pass(mesh, weights, 4))
 
 
 def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
@@ -251,7 +242,7 @@ def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
         tries.clear()
         weights = compute_face_weights(current.features, current.adjacency)
         plan = plan_pass(current.mesh, current.adjacency, weights, target)
-        assert _regions(plan) == oracle_plan_pass(current.mesh, weights, target)
+        assert_plan_matches_oracle(plan, oracle_plan_pass(current.mesh, weights, target))
         current = apply_pass(current.mesh, current.features, plan)
     assert max(tries.values()) > 1
 
@@ -322,7 +313,7 @@ def test_plan_rejects_duplicate_face_at_pinched_vertex(monkeypatch):
     tries = _count_tries(monkeypatch)
     plan = plan_pass(mesh, build_adjacency(mesh), weights, mesh.num_faces // 2)
     assert tries[first] >= 1
-    assert first not in [r.center for r in plan.regions]
+    assert first not in plan.regions
     assert plan.regions
 
 
@@ -348,14 +339,16 @@ def test_plan_invariants(rng):
     weights = compute_face_weights(feats, adj)
     target = 160
     plan = plan_pass(mesh, adj, weights, target)
-    seen = set()
-    for r in plan.regions:
-        assert len(r.removed) == 4 and r.center in r.removed
-        assert not (set(r.removed) & seen)          # removed sets disjoint
-        seen.update(r.removed)
-        assert r.old_vertices == sorted(mesh.faces[r.center].tolist())
-    assert mesh.num_faces - plan.num_removed == plan.num_new_faces
-    assert plan.num_new_faces >= target - 3
+    # each center and its three neighbors go, removed sets disjoint
+    gone = np.flatnonzero(plan.face_remap < 0)
+    assert len(gone) == 4 * len(plan.regions)
+    assert set(gone.tolist()) == {h for c in plan.regions
+                                  for h in [c, *adj.neighbors[c].tolist()]}
+    # region r's center vertices merge into new vertex V' - R + r
+    R, top = len(plan.regions), plan.vertex_remap.max() + 1
+    for r, c in enumerate(plan.regions):
+        assert (plan.vertex_remap[mesh.faces[c]] == top - R + r).all()
+    assert len(plan.provenance) == mesh.num_faces - len(gone) >= target - 3
 
 
 def _bordered(mesh: Mesh, drop: int, seed: int) -> Mesh:
@@ -368,12 +361,14 @@ def _bordered(mesh: Mesh, drop: int, seed: int) -> Mesh:
                          + [jitter_mesh(icosphere(3), np.random.default_rng(7))])
 def test_provenance_matches_oracle(mesh):
     adj, feats = _desc_features(mesh)
-    F = mesh.num_faces
+    F, faces = mesh.num_faces, mesh.faces.tolist()
+    nbs = _face_neighbors_from_list(faces)
     for weights in (compute_face_weights(feats, adj), np.zeros(F)):
         for target in (max(4, F // 2), max(4, F // 4)):
             plan = plan_pass(mesh, adj, weights, target)
+            triples = [(c, [c, *nbs[c]], faces[c]) for c in plan.regions]
             assert [row.tolist() for row in plan.provenance] \
-                == oracle_provenance(mesh, _regions(plan))
+                == oracle_provenance(mesh, triples)
 
 
 def test_manifold_guard_posthoc_scan(rng):
@@ -382,8 +377,8 @@ def test_manifold_guard_posthoc_scan(rng):
     adj, feats = _desc_features(mesh, seed=5)
     plan = plan_pass(mesh, adj, compute_face_weights(feats, adj), 160)
     survivors = np.nonzero(plan.face_remap >= 0)[0]
-    for r in plan.regions:
-        cvs = set(r.old_vertices)
+    for c in plan.regions:
+        cvs = set(mesh.faces[c].tolist())
         for g in survivors:
             assert len(set(int(v) for v in mesh.faces[g]) & cvs) < 2
 
@@ -448,15 +443,15 @@ def test_region_order_reversal(rng):
     adj, feats = _desc_features(mesh)
     plan = plan_pass(mesh, adj, compute_face_weights(feats, adj), 40)
     assert len(plan.regions) >= 2
-    rev = _finalize_plan(mesh, list(reversed(plan.regions)))
+    rev = _finalize_plan(mesh, adj, plan.regions[::-1])
     a = apply_pass(mesh, feats, plan)
     b = apply_pass(mesh, feats, rev)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.adjacency.neighbors, b.adjacency.neighbors)
     assert np.array_equal(plan.face_remap, rev.face_remap)
     # merged ids are assigned in region-list order: translate and compare
-    trans = {int(ma): int(mb) for ma, mb in
-             zip(plan.merged_ids, reversed(rev.merged_ids))}
+    trans = {int(plan.vertex_remap[v]): int(rev.vertex_remap[v])
+             for v in mesh.faces[plan.regions, 0]}
     amap = np.arange(a.mesh.num_vertices)
     for src, dst in trans.items():
         amap[src] = dst
@@ -472,7 +467,7 @@ def test_provenance_covers_every_old_face(rng):
     contributors = set()
     for lst in plan.provenance:
         contributors.update(lst)
-    removed = {h for r in plan.regions for h in r.removed}
+    removed = set(np.flatnonzero(plan.face_remap < 0).tolist())
     # removed faces at the merge points are averaged somewhere
     assert plan.regions and removed & contributors
     survivors = set(np.nonzero(plan.face_remap >= 0)[0].tolist())
@@ -577,7 +572,7 @@ def _selection(mesh, seed=0):
     adj, feats = _desc_features(mesh, seed=seed)
     weights = compute_face_weights(feats, adj)
     plan = plan_pass(mesh, adj, weights, mesh.num_faces // 2)
-    return weights, [r.center for r in plan.regions]
+    return weights, plan.regions
 
 
 def test_selection_invariant_axis_permutation_translation(rng):
@@ -608,7 +603,7 @@ def _rotation_safe_selection(mesh):
                                compute_geometric_terms(mesh, adj, geo), params)
     weights = compute_face_weights(feats, adj)
     plan = plan_pass(mesh, adj, weights, mesh.num_faces // 2)
-    return weights, [r.center for r in plan.regions]
+    return weights, plan.regions
 
 
 def test_selection_invariant_rotation_with_weight_gap(rng):
