@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -184,79 +183,84 @@ def _text(source) -> str:
     return data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
 
 
-def _first_cells(rows: list[list[str]], width: int):
-    """The first ``width`` tokens of every row, chained (whole rows if they fit)."""
-    if set(map(len, rows)) <= {width}:
-        return chain.from_iterable(rows)
-    return chain.from_iterable(r[:width] for r in rows)
+def _rows(lines: list[str], face: bool, number) -> np.ndarray:
+    """``_table``'s rows converted one by one, as ``float``/``int`` do; the
+    first bad row raises with its file line ``number(i)``."""
+    conv, width, dtype = (int, 4, np.int64) if face else (float, 3, np.float64)
+    rows = []
+    for i, r in enumerate(map(str.split, lines)):
+        try:
+            # a face row's count comes first, then its arity, then its
+            # indices, which must fit int64
+            if face and int(r[0]) != 3:
+                raise MeshError(f"non-triangle face at line {number(i)}")
+            rows.append(np.array([conv(r[k]) for k in range(width)], dtype=dtype))
+        except MeshError:    # a ValueError, but already the right one
+            raise
+        except (ValueError, IndexError, OverflowError):
+            kind = "face" if face else "vertex"
+            raise MeshError(f"line {number(i)}: malformed {kind} line") from None
+    return np.array(rows)
+
+
+def _table(lines: list[str], face: bool, number) -> np.ndarray:
+    """Vertex rows (first 3 tokens, float64) or face rows (first 4, int64) of
+    ``lines``, further tokens such as colours ignored, in one ``np.loadtxt``
+    call; ``_rows`` takes the rows it cannot read (``1_0``, non-ASCII digits,
+    an index beyond int64) or a face that is not a triangle."""
+    width, dtype = (4, np.int64) if face else (3, np.float64)
+    if not lines:               # loadtxt would warn of an empty input
+        return np.empty((0, width), dtype=dtype)
+    try:
+        # one row per line: loadtxt skips only lines that are all white
+        # space, as str.split sees it, and those were dropped
+        out = np.loadtxt(lines, dtype=dtype, comments=None, usecols=range(width), ndmin=2)
+        if not face or (out[:, 0] == 3).all():
+            return out
+    except ValueError:
+        pass
+    return _rows(lines, face, number)
 
 
 def load_off(source) -> Mesh:
     """Parse an ASCII OFF file with triangle faces only.
 
-    Every valid file is read the same way: the lines are split into token
-    rows (``#`` comments cut, blank lines dropped; the counts may follow
-    ``OFF`` on the header line), and the first 3 tokens of each vertex row
-    and the first 4 of each face row (further ones, such as colours, are
-    ignored) become an array in one pass each. Only if that fails are the
-    rows scanned one by one, to raise the first bad line's error.
+    The text is cut into lines (``#`` comments cut, blank lines dropped;
+    the counts may follow ``OFF`` on the header line), and the vertex and
+    face lines are each converted to an array by ``_table``.
     """
     text = _text(source)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    kept = list(filter(str.strip, lines))
 
-    def lines() -> list[str]:   # "#" comments cut; rebuilt to name an error
-        split = text.splitlines()
-        return [ln.split("#", 1)[0] for ln in split] if "#" in text else split
+    def line(i: int) -> int:    # number of the line that holds kept[i]
+        return [n for n, ln in enumerate(lines, 1) if ln.strip()][i]
 
-    def line(i: int) -> int:    # number of the line that holds rows[i]
-        return [n for n, ln in enumerate(lines(), 1) if ln.strip()][i]
-
-    rows = [r for r in map(str.split, lines()) if r]
-
-    if not rows:
+    if not kept:
         raise MeshError("empty OFF file")
-    if not rows[0][0].startswith("OFF"):
+    head = kept[0].split()
+    if not head[0].startswith("OFF"):
         raise MeshError(f"line {line(0)}: missing OFF header")
     # counts may share the header line ("OFF 8 12 0")
-    rows[0] = rows[0][0][3:].split() + rows[0][1:]
-    c = 0 if rows[0] else 1          # the counts row
-    if len(rows) == c:
+    counts = head[0][3:].split() + head[1:]
+    c = 0 if counts else 1          # the counts line
+    if len(kept) == c:
         raise MeshError("missing OFF counts line")
+    counts = counts or kept[1].split()
     try:
-        nv, nf = int(rows[c][0]), int(rows[c][1])
+        nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
         nv = nf = -1
     if nv < 0 or nf < 0:
-        n = line(c)
-        counts = lines()[n - 1].strip()[3 if c == 0 else 0:].strip()   # cut "OFF"
-        raise MeshError(f"line {n}: malformed counts line {counts!r}")
-    body = rows[c + 1:]
-    if len(body) < nv + nf:
+        counts = kept[c].strip()[3 if c == 0 else 0:].strip()   # cut "OFF"
+        raise MeshError(f"line {line(c)}: malformed counts line {counts!r}")
+    b = c + 1                       # the first vertex line
+    if len(kept) - b < nv + nf:
         raise MeshError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
-    vrows, frows = body[:nv], body[nv:nv + nf]
-    try:
-        verts = np.array(list(map(float, _first_cells(vrows, 3)))).reshape(nv, 3)
-        faces = np.array(list(map(int, _first_cells(frows, 4))),
-                         dtype=np.int64).reshape(nf, 4)
-        ok = (faces[:, 0] == 3).all()
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        # scan for the first bad row; a face row's count comes first, then
-        # its arity, then its indices, which must fit int64
-        for i, row in enumerate(vrows + frows):
-            try:
-                if i < nv:
-                    float(row[0]), float(row[1]), float(row[2])
-                elif int(row[0]) != 3:
-                    raise MeshError(f"non-triangle face at line {line(c + 1 + i)}")
-                else:
-                    np.array([int(row[1]), int(row[2]), int(row[3])], dtype=np.int64)
-            except MeshError:    # a ValueError, but already the right one
-                raise
-            except (ValueError, IndexError, OverflowError):
-                kind = "vertex" if i < nv else "face"
-                raise MeshError(f"line {line(c + 1 + i)}: malformed {kind} line") from None
-    faces = faces[:, 1:]
+    verts = _table(kept[b:b + nv], False, lambda i: line(b + i))
+    faces = _table(kept[b + nv:b + nv + nf], True, lambda i: line(b + nv + i))[:, 1:]
     if not nf:
         raise MeshError("mesh has no faces")
     if faces.min() < 0 or faces.max() >= nv:
@@ -313,7 +317,9 @@ def load_mesh(source) -> Mesh:
         with open(source, "rb") as fh:
             data = fh.read()
     elif hasattr(source, "read"):
+        # a pipe from os.fdopen is named by its int descriptor: sniff it
         name = getattr(source, "name", None)
+        name = name if isinstance(name, str) else None
         data = source.read()
     else:
         data = source
@@ -381,22 +387,22 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     faces = f[kept]
 
     # edges as packed keys u * V + w; key order is (u, w) row order
-    directed = _directed_edges(faces)
-    und = np.sort(directed, axis=1)
+    u, w = _directed_edges(faces).T
     manifold = True
     oriented = True
     nonmanifold: list[tuple[int, int]] = []
     borders = 0
-    if len(und):
-        uniq, counts = np.unique(und[:, 0] * V + und[:, 1], return_counts=True)
+    if len(u):
+        uniq, counts = np.unique(np.minimum(u, w) * V + np.maximum(u, w),
+                                 return_counts=True)
         over = counts > 2
         if over.any():
             manifold = False
             nonmanifold = [(k // V, k % V) for k in uniq[over].tolist()]
         borders = int((counts == 1).sum())
         # consistent orientation: no directed edge may repeat
-        dkey = directed[:, 0] * V + directed[:, 1]
-        oriented = np.unique(dkey).size == dkey.size
+        dkey = np.sort(u * V + w)
+        oriented = not (dkey[1:] == dkey[:-1]).any()
 
     areas = face_areas(mesh.vertices, faces)
     degenerate = kept[areas <= degeneracy_threshold(mesh)].tolist()
@@ -522,5 +528,6 @@ def compute_geometry(mesh: Mesh) -> GeometryCache:
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F with E counted over unique undirected edges."""
     und = np.sort(_directed_edges(mesh.faces), axis=1)
-    E = len(np.unique(und, axis=0)) if len(und) else 0
+    und = und[np.lexsort(und.T[::-1])]
+    E = int(len(und) and 1 + (und[1:] != und[:-1]).any(axis=1).sum())
     return mesh.num_vertices - E + mesh.num_faces

@@ -1,6 +1,7 @@
 """Mesh representation, I/O, validation, normalization, adjacency."""
 
 import io
+import os
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshlearn import core
 from meshlearn.core import (CSR, NONE, Mesh, MeshError, build_adjacency,
                             compute_geometry, degeneracy_threshold,
                             edge_lengths_sq, euler_characteristic, face_areas,
@@ -15,8 +17,8 @@ from meshlearn.core import (CSR, NONE, Mesh, MeshError, build_adjacency,
                             save_off, validate_mesh)
 from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 
-from conftest import (closed_corpus, jitter_mesh, rigid_transform,
-                      single_triangle, tetrahedron)
+from conftest import (closed_corpus, disjoint_union, jitter_mesh,
+                      rigid_transform, single_triangle, tetrahedron)
 from oracles import (oracle_adjacency, oracle_load_obj, oracle_load_off,
                      oracle_save_off)
 
@@ -107,6 +109,22 @@ def test_load_mesh_sniff_skips_comments_and_blank_lines():
         assert load_mesh(head + off).num_faces == 1
         assert load_mesh((head + off).encode()).num_faces == 1
         assert load_mesh((head + obj).encode()).num_faces == 1
+
+
+@pytest.mark.parametrize("text", ["OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+                                  "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"],
+                         ids=["off", "obj"])
+def test_load_mesh_reads_a_pipe(text):
+    # a stream from os.fdopen is named by its int descriptor; its content
+    # is sniffed, as for a stream with no name
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(text.encode())
+    with os.fdopen(r, "rb") as fh:
+        assert isinstance(fh.name, int)
+        mesh = load_mesh(fh)
+    assert mesh.faces.tolist() == [[0, 1, 2]]
+    assert mesh.name is None
 
 
 @pytest.mark.parametrize("text", [b"hello world\n", b"", b"# notes\n\n",
@@ -283,6 +301,59 @@ def test_load_off_large_file_error_names_the_line(row):
         assert str(err.value) == message
 
 
+def _icosphere4_off() -> str:
+    buf = io.StringIO()
+    save_off(icosphere(4), buf)
+    return buf.getvalue()
+
+
+def test_load_off_saved_file_takes_the_loadtxt_path(monkeypatch):
+    def per_row(*args):
+        raise AssertionError("per-row path taken")
+    monkeypatch.setattr(core, "_rows", per_row)
+    text = _icosphere4_off()
+    assert _load_outcome(load_off, text) == _load_outcome(oracle_load_off, text)
+
+
+def _edit(text: str, line: int, column: int, token: str) -> str:
+    """``text`` with token ``column`` of 0-based line ``line`` replaced."""
+    lines = text.splitlines()
+    row = lines[line].split()
+    row[column] = token
+    lines[line] = " ".join(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("variant, per_row", [
+    (lambda t: _edit(t, 2, 0, "1_0"), True),                # float("1_0") == 10
+    (lambda t: _edit(t, 3, 1, "\u0663"), True),             # an Arabic-Indic 3
+    (lambda t: _edit(t, -1, 2, "1_0"), True),               # int("1_0") == 10
+    (lambda t: t.replace(" ", "\t"), False),
+    (lambda t: _edit(t, -1, 1, "99999999999999999999"), True),
+], ids=["underscore_vertex", "arabic_indic_digit", "underscore_index", "tabs",
+        "20_digit_index"])
+def test_load_off_odd_tokens_match_oracle(monkeypatch, variant, per_row):
+    taken = []
+    rows = core._rows
+    monkeypatch.setattr(core, "_rows", lambda *args: taken.append(1) or rows(*args))
+    text = variant(_icosphere4_off())
+    assert _load_outcome(load_off, text) == _load_outcome(oracle_load_off, text)
+    assert bool(taken) == per_row
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("OFF\n0 1 0\n3 0 1 2\n", "face 0: vertex index out of range"),
+    ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "mesh has no faces"),
+    ("OFF 0 0 0\n", "mesh has no faces"),
+], ids=["no_vertices", "no_faces", "neither"])
+def test_load_off_empty_sections_raise_without_warning(text, message):
+    for load in (oracle_load_off, load_off):
+        with pytest.raises(MeshError) as err:
+            load(text)
+        assert str(err.value) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(coords=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                        min_size=3, max_size=30),
@@ -399,6 +470,22 @@ def test_validate_matches_scalar_reference(rng):
         assert report.border_edges == borders
         assert report.oriented == oriented
     assert _scalar_validate(cases[1])[:2] == ([3, 10, 17, 30], [40])
+
+
+@pytest.mark.parametrize("case", ["as_is", "flipped", "duplicated"])
+def test_validate_orientation_at_scale(case):
+    mesh = icosphere(4)
+    faces = mesh.faces
+    if case == "flipped":
+        faces = faces.copy()
+        faces[100] = faces[100, ::-1]
+    elif case == "duplicated":
+        faces = np.vstack([faces, faces[100:101]])
+    mesh = Mesh(mesh.vertices, faces)
+    report = validate_mesh(mesh)
+    assert (report.invalid_faces, report.degenerate_faces, report.nonmanifold_edges,
+            report.border_edges, report.oriented) == _scalar_validate(mesh)
+    assert report.oriented == (case == "as_is")
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +674,30 @@ def test_euler_characteristics():
     assert euler_characteristic(icosphere(2)) == 2
     assert euler_characteristic(box(3)) == 2
     assert euler_characteristic(torus(8, 5)) == 0
+
+
+def _euler_by_unique_rows(mesh):
+    """V - E + F with E from ``np.unique(axis=0)`` of the sorted edge rows."""
+    f = mesh.faces
+    und = np.sort(np.stack([f, np.roll(f, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
+    E = len(np.unique(und, axis=0)) if len(und) else 0
+    return mesh.num_vertices - E + mesh.num_faces
+
+
+def test_euler_characteristic_matches_unique_rows():
+    tet, cube = tetrahedron(), box(3)
+    odd = [[0, 9, -1], [2**62, -2**63, 2**63 - 1], [9, 0, -1], [-1, 0, 9]]
+    cases = {
+        "bordered": Mesh(cube.vertices, cube.faces[5:]),
+        "triangle": single_triangle(),
+        "two_components": disjoint_union(tet, icosphere(2)),
+        "torus": torus(8, 5),
+        "invalid_ids": Mesh(tet.vertices, np.vstack([tet.faces, odd])),
+        "no_faces": Mesh(tet.vertices, np.empty((0, 3), dtype=np.int64)),
+    }
+    for name, mesh in cases.items():
+        assert euler_characteristic(mesh) == _euler_by_unique_rows(mesh), name
+    assert euler_characteristic(cases["two_components"]) == 4
 
 
 # ---------------------------------------------------------------------------
