@@ -254,8 +254,8 @@ def load_off(source) -> Mesh:
     except (ValueError, IndexError):
         nv = nf = -1
     if nv < 0 or nf < 0:
-        counts = kept[c].strip()[3 if c == 0 else 0:].strip()   # cut "OFF"
-        raise MeshError(f"line {line(c)}: malformed counts line {counts!r}")
+        shown = kept[c].strip()[3 if c == 0 else 0:].strip()   # cut "OFF"
+        raise MeshError(f"line {line(c)}: malformed counts line {shown!r}")
     b = c + 1                       # the first vertex line
     if len(kept) - b < nv + nf:
         raise MeshError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
