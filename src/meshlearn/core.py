@@ -356,9 +356,10 @@ def save_off(mesh: Mesh, target) -> None:
 # validation and normalization
 
 
-def _directed_edges(faces: np.ndarray) -> np.ndarray:
-    """(3F, 2) directed edges in face order: (v0,v1), (v1,v2), (v2,v0)."""
-    return np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+def _edge_pairs(faces: np.ndarray) -> np.ndarray:
+    """(F, 3, 2) undirected edges in face order, each as (min, max)."""
+    nxt = np.roll(faces, -1, axis=1)
+    return np.stack([np.minimum(faces, nxt), np.maximum(faces, nxt)], axis=2)
 
 
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -387,7 +388,7 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     faces = f[kept]
 
     # edges as packed keys u * V + w; key order is (u, w) row order
-    u, w = _directed_edges(faces).T
+    u, w = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
     manifold = True
     oriented = True
     nonmanifold: list[tuple[int, int]] = []
@@ -449,7 +450,7 @@ def build_adjacency(mesh: Mesh) -> AdjacencyMatrix:
     Raises on non-manifold edges (3+ incident faces).
     """
     F, V = mesh.num_faces, mesh.num_vertices
-    edges = np.sort(_directed_edges(mesh.faces).reshape(F, 3, 2), axis=2)
+    edges = _edge_pairs(mesh.faces)
     key = (edges[..., 0] * V + edges[..., 1]).ravel()
     # half-edge 3f+s is slot s of face f; a stable sort keeps the
     # half-edges of one edge in face order
@@ -527,7 +528,7 @@ def compute_geometry(mesh: Mesh) -> GeometryCache:
 
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F with E counted over unique undirected edges."""
-    und = np.sort(_directed_edges(mesh.faces), axis=1)
+    und = _edge_pairs(mesh.faces).reshape(-1, 2)
     und = und[np.lexsort(und.T[::-1])]
     E = int(len(und) and 1 + (und[1:] != und[:-1]).any(axis=1).sum())
     return mesh.num_vertices - E + mesh.num_faces

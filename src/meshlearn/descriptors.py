@@ -48,8 +48,6 @@ class DescriptorParams:
         self.geom = np.atleast_2d(np.asarray(self.geom, dtype=np.float64))
         if self.geo.shape[1] != 3 or self.geom.shape[1] != 4:
             raise ValueError("geo kernels need 3 weights, geom kernels 4")
-        if not (np.isfinite(self.geo).all() and np.isfinite(self.geom).all()):
-            raise ValueError("descriptor weights must be finite")
 
     @property
     def k_geo(self) -> int:

@@ -238,6 +238,7 @@ def cross_entropy_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarra
     return loss, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")    # as in model_forward
 def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
                    grad_logits: np.ndarray) -> ModelParams:
     """Full parameter gradient by chaining the layer adjoints in reverse."""

@@ -36,6 +36,10 @@ import numpy as np
 from .core import (CSR, NONE, AdjacencyMatrix, Mesh, MeshError, NumericalError,
                    build_adjacency)
 
+# elements per (channels, faces) slab in compute_face_weights: the bound
+# on its scratch memory
+_WEIGHT_BLOCK = 2**16
+
 
 class Provenance(CSR):
     """Feature-averaging provenance of one pass: new face j is the mean of
@@ -99,22 +103,30 @@ def compute_face_weights(features: np.ndarray, adj: AdjacencyMatrix) -> np.ndarr
     """Per-face saliency: sum of squared feature distances to the (up to
     three) edge-neighbors; missing neighbors contribute 0. Raises
     ``NumericalError``, without an overflow warning, when a weight is not
-    finite."""
+    finite.
+
+    Bit-equal to a scalar loop that adds, per slot, the squared channel
+    differences one after another, then the slots left to right: per
+    block of faces and per slot, a (C, faces) slab of a transposed copy
+    is summed over axis 0, which NumPy adds row by row. A block holds
+    about ``_WEIGHT_BLOCK`` elements and never one face alone (unless F
+    is 1), whose channels NumPy would sum pairwise."""
     if features.shape[0] != adj.num_faces:
         raise ValueError("features row count does not match adjacency")
-    nb = adj.neighbors
+    (F, C), nb = features.shape, adj.neighbors.T
     safe = np.where(nb == NONE, 0, nb)
-    # sequential accumulation in channel order, then slot order: a fixed,
-    # documented reduction order that a scalar reference loop reproduces
-    # bit-exactly; one channel at a time, never an F x 3 x C difference
-    sq = np.zeros(nb.shape)
+    x = np.ascontiguousarray(features.T)
+    starts = range(0, max(F - 1, 1), max(2, _WEIGHT_BLOCK // max(C, 1)))
+    sq = np.empty(nb.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(features.shape[1]):
-            col = features[:, c]
-            d = col[:, None] - col[safe]
-            sq += d * d
+        for lo, hi in zip(starts, [*starts[1:], F]):
+            for s in range(3):
+                d = np.take(x, safe[s, lo:hi], axis=1)
+                np.subtract(x[:, lo:hi], d, out=d)
+                d *= d
+                d.sum(axis=0, out=sq[s, lo:hi])
         sq[nb == NONE] = 0.0
-        weights = (sq[:, 0] + sq[:, 1]) + sq[:, 2]
+        weights = (sq[0] + sq[1]) + sq[2]
     if not np.isfinite(weights).all():
         raise NumericalError("pooling saliency is not finite: the features overflow")
     return weights
@@ -282,6 +294,8 @@ class _PassState:
                 settled[w] = True
         self.next_token += 1
         self.comp_left[self.comp[f]] -= 4
+        if not self.watch:
+            return []       # no face is deferred: nothing to wake
         faces, watch = self.faces, self.watch
         touched = {v for h in removed + ring for v in faces[h]}
         return [w for v in touched if v in watch for w in watch.pop(v)]
@@ -371,12 +385,23 @@ def _finalize_plan(mesh: Mesh, adj: AdjacencyMatrix, centers: list[int]) -> Pool
     region = vertex_remap[f[survivors]] - n_survive
     held, slot = np.nonzero(region >= 0)
     lost = removed[region[held, slot]]
-    touch = (f[survivors[held], None, :, None] == f[lost][:, :, None, :]).any(axis=(2, 3))
+    touch = _shares_vertex(f, survivors[held], lost)
     provenance = Provenance.from_pairs(
         np.concatenate([np.arange(len(survivors)), np.repeat(held, 4)[touch.ravel()]]),
         np.concatenate([survivors, lost[touch]]), len(survivors))
     return PoolPlan(regions=centers, face_remap=face_remap,
                     vertex_remap=vertex_remap, provenance=provenance)
+
+
+def _shares_vertex(faces: np.ndarray, ring: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """(n, 4) mask: whether face ``ring[i]`` shares a vertex with face
+    ``lost[i, j]``, as nine element-wise compares of the two gathers."""
+    a, b = faces[ring], faces[lost]
+    touch = np.zeros(lost.shape, dtype=bool)
+    for p in range(3):
+        for q in range(3):
+            touch |= a[:, p, None] == b[:, :, q]
+    return touch
 
 
 def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:

@@ -115,7 +115,7 @@ DEFECTS = {
     "dims_beyond_int64": "truncated checkpoint file",
     "dims_product_wraps": "truncated checkpoint file",
     "dims_zero_and_huge": r"array 'descriptor.geo' has unsupported dims \[0, 18446744073709551615\]",
-    # non-finite weights: DescriptorParams checks only what it is built with
+    # non-finite weights: the loader checks every array
     "nan_in_conv0_w0": "array 'conv0.w0' has a non-finite value",
     "inf_in_descriptor_geo": "array 'descriptor.geo' has a non-finite value",
 }

@@ -600,6 +600,20 @@ def test_adjacency_matches_oracle_bordered_and_multicomponent(rng):
     assert (build_adjacency(bordered).neighbors == NONE).any()
 
 
+@pytest.mark.parametrize("extra", [[[4, 4, 5]], [[4, 5, 4]], [[4, 4, 5], [4, 6, 4]]])
+def test_adjacency_matches_oracle_repeated_vertex_face(extra):
+    """A face that meets its edge (4, 5) twice has no neighbor across it;
+    two such faces meet across their self-loop edge (4, 4)."""
+    tet = tetrahedron()
+    verts = np.vstack([tet.vertices, [[2.0, 0, 0], [2.0, 1, 0], [3.0, 0, 1]]])
+    mesh = Mesh(verts, np.vstack([tet.faces, extra]))
+    adj = build_adjacency(mesh)
+    nb, se = oracle_adjacency(mesh)
+    assert np.array_equal(adj.neighbors, nb)
+    assert np.array_equal(adj.shared_edges, se)
+    assert (4 not in adj.neighbors[4]) and (len(extra) == 1) == (adj.neighbors[4] == NONE).all()
+
+
 def test_adjacency_nonmanifold_raises():
     v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]])
     f = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])

@@ -194,6 +194,18 @@ def test_non_finite_logits_raise_numerical_error():
         net.model_forward(small_mesh(), params, config)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_backward_overflow_gives_inf_without_warning():
+    """Gradients are not weights: an overflowing backward pass returns
+    non-finite gradients, with no warning and no ValueError."""
+    config = small_config()
+    params = net.init_params(config)
+    logits, tape = net.model_forward(small_mesh(), params, config)
+    params.classifier_w *= 10
+    grads = net.model_backward(tape, params, config, np.full(3, 1e308))
+    assert not np.isfinite(grads.descriptor.geo).all()
+
+
 def test_small_mesh_skips_pooling():
     config = net.ModelConfig(num_classes=3)   # T = 400/300/200
     params = net.init_params(config)

@@ -1,5 +1,6 @@
 """Face-collapse pooling: weights, planning, application, backward."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -74,6 +75,40 @@ def test_weights_match_oracle(rng):
     feats = rng.normal(size=(20, 5))
     assert np.array_equal(compute_face_weights(feats, adj),
                           oracle_weights(feats, adj.neighbors))
+
+
+@pytest.mark.parametrize("channels", [8, 32, 128])
+def test_weights_match_oracle_wide(rng, channels):
+    """At and above NumPy's pairwise-sum width of 8: summing the last axis
+    of an (F, 3, C) difference would round differently from the oracle."""
+    for mesh in (torus(15, 10), _bordered(icosphere(2), 3, 0)):
+        adj = build_adjacency(mesh)
+        feats = rng.normal(size=(mesh.num_faces, channels))
+        assert np.array_equal(compute_face_weights(feats, adj),
+                              oracle_weights(feats, adj.neighbors))
+
+
+def test_weights_match_oracle_across_blocks(rng):
+    mesh = icosphere(4)
+    assert mesh.num_faces * 24 > 1.5 * pooling._WEIGHT_BLOCK
+    adj = build_adjacency(mesh)
+    feats = rng.normal(size=(mesh.num_faces, 24))
+    assert np.array_equal(compute_face_weights(feats, adj),
+                          oracle_weights(feats, adj.neighbors))
+
+
+@pytest.mark.parametrize("faces_per_block", [2, 4, 6])
+def test_weights_small_blocks_match_oracle(monkeypatch, rng, faces_per_block):
+    """Small blocks over an odd face count: no block may hold a single
+    face, whose 64 channels NumPy would sum pairwise."""
+    monkeypatch.setattr(pooling, "_WEIGHT_BLOCK", 64 * faces_per_block)
+    mesh = _bordered(icosphere(2), 1, 0)
+    adj = build_adjacency(mesh)
+    assert mesh.num_faces % 2 == 1
+    for _ in range(6):
+        feats = rng.normal(size=(mesh.num_faces, 64))
+        assert np.array_equal(compute_face_weights(feats, adj),
+                              oracle_weights(feats, adj.neighbors))
 
 
 def test_weights_shape_mismatch(rng):
@@ -245,6 +280,51 @@ def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
         assert_plan_matches_oracle(plan, oracle_plan_pass(current.mesh, weights, target))
         current = apply_pass(current.mesh, current.features, plan)
     assert max(tries.values()) > 1
+
+
+def test_first_pass_on_icosphere4_defers_no_face(monkeypatch):
+    # every try of a regular mesh's first pass is accepted or skipped, so
+    # each commit finds the watch lists empty
+    deferred = []
+    monkeypatch.setattr(pooling._PassState, "defer", lambda self, f: deferred.append(f))
+    mesh = icosphere(4)
+    adj, feats = _desc_features(mesh)
+    plan = plan_pass(mesh, adj, compute_face_weights(feats, adj), mesh.num_faces // 4)
+    assert deferred == [] and len(plan.regions) == 730
+
+
+def test_commit_wakes_nothing_while_no_face_is_deferred():
+    mesh = icosahedron()
+    state = pooling._PassState(mesh, build_adjacency(mesh))
+    assert state.watch == {} and state.commit(0, state.try_candidate(0)) == []
+    state = pooling._PassState(mesh, build_adjacency(mesh))
+    state.defer(19)
+    assert set(state.commit(0, state.try_candidate(0))) == {19}
+
+
+# sha256 of repr(per-pass plan.regions) of pool_to_target to F/4 with
+# _desc_features, as the planner gave before commit skipped its wake set
+POOL_REGIONS_SHA256 = {
+    "icosphere4": "52723d382f3360705cb0c17855e9fe2026e8704c47b840cec23cdf49b847a1f5",
+    "box12": "113c42031d22e8c2bbfebd0de06124eb0fbc691cf7dcbb8d59ea910a42bb3276",
+}
+
+
+@pytest.mark.parametrize("name,mesh", [("icosphere4", icosphere(4)), ("box12", box(12))])
+def test_pool_to_target_regions_pinned(monkeypatch, name, mesh):
+    regions = []
+    plan = pooling.plan_pass
+
+    def recording(*args):
+        out = plan(*args)
+        regions.append(out.regions)
+        return out
+
+    monkeypatch.setattr(pooling, "plan_pass", recording)
+    adj, feats = _desc_features(mesh)
+    out = pool_to_target(mesh, adj, feats, mesh.num_faces // 4)
+    assert out.mesh.num_faces == mesh.num_faces // 4 and len(regions) == 2
+    assert hashlib.sha256(repr(regions).encode()).hexdigest() == POOL_REGIONS_SHA256[name]
 
 
 @pytest.mark.parametrize("mesh", [flip_edges(icosphere(1), np.random.default_rng(1), 30),
