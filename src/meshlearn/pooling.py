@@ -36,8 +36,7 @@ import numpy as np
 from .core import (CSR, NONE, AdjacencyMatrix, Mesh, MeshError, NumericalError,
                    build_adjacency)
 
-# elements per (channels, faces) slab in compute_face_weights: the bound
-# on its scratch memory
+# elements per (channels, faces) slab in compute_face_weights
 _WEIGHT_BLOCK = 2**16
 
 
