@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 computational failure (failed gradient check,
 pooling stall under --strict, non-finite values), 2 usage or I/O error.
 Config files are flat ``key=value`` lines with ``#`` comments; unknown
-keys are rejected.
+and repeated keys are rejected.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for n, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -47,8 +48,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{n}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"{path}:{n}: key {key!r} repeats line {first_line[key]}")
+            values[key], first_line[key] = val, n
     return values
 
 
@@ -156,8 +159,7 @@ def _load_train_test(args, synth_kw, num_classes):
     if "train" in tagged and "test" in tagged:
         tr = [s for s in dataset.samples if s.split == "train"]
         te = [s for s in dataset.samples if s.split == "test"]
-        return (Dataset(tr, dataset.class_names, split="train"),
-                Dataset(te, dataset.class_names, split="test"))
+        return Dataset(tr, dataset.class_names), Dataset(te, dataset.class_names)
     raise MeshError("dataset has no train/test layout; pass --per-class-train")
 
 

@@ -18,8 +18,8 @@ exception: with one channel, NumPy sums a contiguous face-major row
 pairwise once K >= 8, so a one-channel slot sum reduces a face-major copy
 instead. The backward cache keeps the sums, the pre-activation and the
 int8 signs of the slot-major differences, the only part of them the
-backward pass reads; ``diff`` and ``valid`` are rebuilt as face-major
-(F, K, ...) views when looked up. The backward pass scatters
+backward pass reads; ``diff`` is rebuilt as a face-major (F, K, C)
+view when looked up. The backward pass scatters
 through the CSR, each face's terms in ascending source face as
 ``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
 added their +-0.0 onto face 0, which changed no finite result: a gradient
@@ -167,10 +167,10 @@ def _differences(features: np.ndarray, regions: RegionTable) -> tuple[np.ndarray
 
 class ConvCache(dict):
     """Backward cache of one ``conv_forward``: ``s1``, ``s2``, ``z`` and the
-    int8 ``sign`` (K, F, C) of the neighbour differences. ``diff`` and
-    ``valid``, as face-major (F, K, ...) views, are rebuilt on each lookup
-    from the layer input and region table, byte for byte as the forward
-    pass computed them, so the cache never holds the float64 differences."""
+    int8 ``sign`` (K, F, C) of the neighbour differences. ``diff``, as a
+    face-major (F, K, C) view, is rebuilt on each lookup from the layer
+    input and region table, byte for byte as the forward pass computed it,
+    so the cache never holds the float64 differences."""
 
     def __init__(self, features: np.ndarray, regions: RegionTable, **arrays):
         super().__init__(**arrays)
@@ -179,8 +179,6 @@ class ConvCache(dict):
     def __missing__(self, key):
         if key == "diff":
             return _differences(self.features, self.regions)[0].transpose(1, 0, 2)
-        if key == "valid":
-            return self.regions.valid.T
         raise KeyError(key)
 
 

@@ -36,13 +36,12 @@ class Mesh:
     """A triangle mesh: V x 3 vertex coordinates and F x 3 face indices.
 
     Faces are assumed consistently oriented (counter-clockwise seen from
-    outside for closed meshes). ``label``/``name`` are optional metadata
-    used by datasets.
+    outside for closed meshes). ``name`` is optional metadata: the source
+    file or the dataset sample name.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    label: int | None = None
     name: str | None = None
 
     def __post_init__(self):

@@ -25,7 +25,6 @@ logger = logging.getLogger(__name__)
 class Sample:
     mesh: Mesh
     class_id: int
-    path: str | None = None
     split: str | None = None
     seed: int | None = None
 
@@ -34,7 +33,6 @@ class Sample:
 class Dataset:
     samples: list[Sample]
     class_names: list[str]
-    split: str | None = None
     load_errors: int = 0
 
     @property
@@ -77,8 +75,7 @@ def load_dataset(root: str) -> Dataset:
                 logger.warning("skipping unreadable mesh %s: %s", path, e)
                 errors += 1
                 continue
-            mesh.label = cid
-            samples.append(Sample(mesh=mesh, class_id=cid, path=path, split=split))
+            samples.append(Sample(mesh=mesh, class_id=cid, split=split))
     if not samples:
         raise MeshError(f"no readable meshes found under {root!r}")
     return Dataset(samples=samples, class_names=class_names, load_errors=errors)
@@ -102,8 +99,7 @@ def make_splits(dataset: Dataset, per_class_train: int, seed: int) -> tuple[Data
         for k, i in enumerate(order):
             s = group[int(i)]
             (train if k < per_class_train else test).append(s)
-    return (Dataset(train, dataset.class_names, split="train"),
-            Dataset(test, dataset.class_names, split="test"))
+    return Dataset(train, dataset.class_names), Dataset(test, dataset.class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 verts = verts + rng.uniform(-spec.jitter * radius,
                                             spec.jitter * radius,
                                             size=verts.shape)
-            mesh = Mesh(verts, mesh.faces, label=cid, name=f"{cls}_{k:04d}")
+            mesh = Mesh(verts, mesh.faces, name=f"{cls}_{k:04d}")
             samples.append(Sample(mesh=mesh, class_id=cid, seed=sample_seed))
     return Dataset(samples=samples, class_names=class_names)
 
@@ -336,15 +332,21 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def write_dataset(dataset: Dataset, root: str, split: str = "train") -> str:
     """Write the dataset as OFF files plus a manifest; returns manifest path.
 
-    Manifest lines: ``path class_id face_count seed``.
+    Files are ``root/<class>/<split>/<stem>.off``, named by the stem of the
+    mesh name (a path for loaded meshes); two samples on one path raise
+    ``ValueError`` before any write. Lines: ``path class_id face_count seed``.
     """
+    paths: list[str] = []
+    for i, s in enumerate(dataset.samples):
+        stem = os.path.splitext(os.path.basename(s.mesh.name or f"mesh_{i:05d}"))[0]
+        paths.append(os.path.join(root, dataset.class_names[s.class_id],
+                                  s.split or split, stem + ".off"))
+    if len(set(paths)) < len(paths):
+        raise ValueError(f"two samples would be written to "
+                         f"{next(p for p in paths if paths.count(p) > 1)!r}")
     lines = []
-    for s in dataset.samples:
-        sp = s.split or split
-        name = (s.mesh.name or f"mesh_{len(lines):05d}") + ".off"
-        d = os.path.join(root, dataset.class_names[s.class_id], sp)
-        os.makedirs(d, exist_ok=True)
-        path = os.path.join(d, name)
+    for s, path in zip(dataset.samples, paths):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         save_off(s.mesh, path)
         lines.append(f"{os.path.relpath(path, root)} {s.class_id} "
                      f"{s.mesh.num_faces} {s.seed if s.seed is not None else -1}")

@@ -57,10 +57,6 @@ class DescriptorParams:
     def k_geom(self) -> int:
         return self.geom.shape[0]
 
-    @property
-    def out_channels(self) -> int:
-        return 3 * (self.k_geo + self.k_geom)
-
 
 def init_descriptor_params(k_geo: int, k_geom: int, rng: np.random.Generator) -> DescriptorParams:
     # uniform in [-s, s], s = 1/sqrt(term count) of each kernel

@@ -9,6 +9,7 @@ which is what finite-difference gradient checking needs.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -113,13 +114,10 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        desc.DescriptorParams(np.zeros_like(params.descriptor.geo),
-                              np.zeros_like(params.descriptor.geom)),
-        [convmod.ConvParams(np.zeros_like(c.w0), np.zeros_like(c.w1),
-                            np.zeros_like(c.w2), np.zeros_like(c.bias))
-         for c in params.conv_layers],
-        np.zeros_like(params.classifier_w), np.zeros_like(params.classifier_b))
+    zeros = copy.deepcopy(params)
+    for _, arr in zeros.named_arrays():
+        arr[...] = 0.0
+    return zeros
 
 
 def add_params(acc: ModelParams, other: ModelParams, scale: float = 1.0) -> None:
@@ -151,7 +149,6 @@ def precompute_static(mesh: Mesh, config: ModelConfig) -> StaticInputs:
 
 @dataclass
 class BlockTape:
-    regions: convmod.RegionTable
     conv_caches: list[convmod.ConvCache]   # each holds its layer's input
     pool: poolmod.PooledMesh
 
@@ -182,7 +179,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
         layer_idx = 0
         for b in range(config.num_blocks):
             if replay is not None:
-                regions = replay.blocks[b].regions
+                regions = replay.blocks[b].conv_caches[0].regions
             elif b == 0:
                 regions = static.first_regions
             else:
@@ -199,8 +196,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
             else:
                 pooled = poolmod.pool_to_target(cur_mesh, cur_adj, feats,
                                                 config.t_schedule[b])
-            tape.blocks.append(BlockTape(regions=regions, conv_caches=caches,
-                                         pool=pooled))
+            tape.blocks.append(BlockTape(conv_caches=caches, pool=pooled))
             cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
         tape.gap_output = global_average_pool(feats)
         logits = params.classifier_w @ tape.gap_output + params.classifier_b
@@ -242,13 +238,11 @@ def cross_entropy_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarra
 def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
                    grad_logits: np.ndarray) -> ModelParams:
     """Full parameter gradient by chaining the layer adjoints in reverse."""
-    grads = zeros_like_params(params)
-    grads.classifier_w[:] = np.outer(grad_logits, tape.gap_output)
-    grads.classifier_b[:] = grad_logits
     grad_gap = params.classifier_w.T @ grad_logits
     F_last = tape.blocks[-1].pool.features.shape[0]
     grad_feats = np.tile(grad_gap / F_last, (F_last, 1))
 
+    conv_grads = [None] * len(params.conv_layers)
     layer_idx = len(params.conv_layers)
     for b in range(config.num_blocks - 1, -1, -1):
         bt = tape.blocks[b]
@@ -256,15 +250,12 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
         for l in range(config.convs_per_block - 1, -1, -1):
             layer_idx -= 1
             cache = bt.conv_caches[l]
-            grad_feats, gp = convmod.conv_backward(
-                cache.features, bt.regions, params.conv_layers[layer_idx],
+            grad_feats, conv_grads[layer_idx] = convmod.conv_backward(
+                cache.features, cache.regions, params.conv_layers[layer_idx],
                 grad_feats, cache, activation=config.layer_activation(b, l))
-            grads.conv_layers[layer_idx] = gp
-    dgrad = desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
-                                     params.descriptor, grad_feats)
-    grads.descriptor.geo += dgrad.geo
-    grads.descriptor.geom += dgrad.geom
-    return grads
+    return ModelParams(desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
+                                                params.descriptor, grad_feats),
+                       conv_grads, np.outer(grad_logits, tape.gap_output), grad_logits.copy())
 
 
 # ---------------------------------------------------------------------------

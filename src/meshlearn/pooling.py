@@ -28,7 +28,7 @@ order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -189,8 +189,9 @@ class _PassState:
     ``settled`` marks the faces that can never collapse in this pass: from
     the start those with a border slot or a repeated neighbor, and from
     each commit on every neighbor of a removed face and every face at a
-    merged vertex (faces only die and vertices are only merged). The walk
-    skips these and the faces whose component would keep fewer than 4
+    merged vertex (faces only die and vertices are only merged). The
+    removed faces neighbor each other, so every dead face is settled. The
+    walk skips these and the faces whose component would keep fewer than 4
     faces, so a face tried is accepted or rejected only for now. Such a
     face is deferred on the watch list of every vertex of its one-ring
     faces; a commit wakes the faces watching the vertices of the faces it
@@ -328,7 +329,7 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
     if projected <= target:
         return _finalize_plan(mesh, adj, [])
     state = _PassState(mesh, adj)
-    alive, settled = state.alive, state.settled
+    settled = state.settled
     comp, comp_left = state.comp, state.comp_left
     order = np.lexsort((np.arange(F), weights))
     position = np.empty(F, dtype=np.int64)
@@ -347,7 +348,7 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
             walk += 1
         else:
             break
-        if settled[f] or not alive[f] or comp_left[comp[f]] < 8:
+        if settled[f] or comp_left[comp[f]] < 8:
             continue
         cand = state.try_candidate(f)
         if cand is None:
@@ -356,7 +357,7 @@ def plan_pass(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray,
         centers.append(f)
         projected -= 4
         for w in state.commit(f, cand):
-            if alive[w] and not settled[w] and not queued[w]:
+            if not settled[w] and not queued[w]:
                 queued[w] = True
                 heapq.heappush(retry, position[w])
     return _finalize_plan(mesh, adj, centers)
@@ -425,7 +426,7 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
 
     survive_f = plan.face_remap >= 0
     new_faces = plan.vertex_remap[mesh.faces[survive_f]]
-    new_mesh = Mesh(new_verts, new_faces, label=mesh.label, name=mesh.name)
+    new_mesh = Mesh(new_verts, new_faces, name=mesh.name)
 
     record = PassRecord(provenance=plan.provenance, old_num_faces=F)
     return PooledMesh(mesh=new_mesh, adjacency=build_adjacency(new_mesh),
@@ -450,9 +451,7 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
             break
         current = apply_pass(current.mesh, current.features, plan)
         passes.extend(current.passes)
-    return PooledMesh(mesh=current.mesh, adjacency=current.adjacency,
-                      features=current.features, passes=passes,
-                      stalled=current.mesh.num_faces > target)
+    return replace(current, passes=passes, stalled=current.mesh.num_faces > target)
 
 
 def pooling_backward(passes: list[PassRecord], grad_out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Versioned checkpoint container: round trips, digests, error paths."""
 
+import hashlib
 import json
 import struct
 
@@ -29,6 +30,34 @@ def test_round_trip_bit_identical(tmp_path):
     for (na, a), (nb, b) in zip(params.named_arrays(), loaded.named_arrays()):
         assert na == nb
         assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+# sha256 of the config blob of TUPLE_CONFIG, as the writer that turned
+# every tuple into a list before json.dumps stored it
+TUPLE_CONFIG = net.ModelConfig(num_classes=4, k_geo=2, k_geom=3, block_channels=(8, 12),
+                               convs_per_block=1, region_sizes=(3, 5), t_schedule=(60, 30),
+                               use_activation=False, seed=5)
+TUPLE_CONFIG_BLOB_SHA256 = "b16fe2630f475596c5528bc69a6b6123f2cd1c4fa675dc2d974f0684b2c546f7"
+
+
+def test_file_layout_and_pinned_config_blob(tmp_path):
+    """The whole file is the documented layout, byte for byte, and the
+    config blob of a config with non-default tuples has a pinned digest."""
+    params = _params(TUPLE_CONFIG)
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, params, TUPLE_CONFIG)
+    data = open(path, "rb").read()
+    (cfg_len,) = struct.unpack_from("<Q", data, 8)
+    blob = data[16:16 + cfg_len]
+    assert hashlib.sha256(blob).hexdigest() == TUPLE_CONFIG_BLOB_SHA256
+    assert json.loads(blob)["block_channels"] == [8, 12]
+    arrays = params.named_arrays()
+    expected = MAGIC + struct.pack("<IQ", 1, cfg_len) + blob + struct.pack("<I", len(arrays))
+    for name, arr in arrays:
+        expected += struct.pack("<H", len(name)) + name.encode()
+        expected += struct.pack("<BB", 0, arr.ndim) + struct.pack("<%dQ" % arr.ndim, *arr.shape)
+        expected += arr.astype("<f8").tobytes()
+    assert data == expected
 
 
 def test_truncated_file(tmp_path):
@@ -118,6 +147,9 @@ DEFECTS = {
     # non-finite weights: the loader checks every array
     "nan_in_conv0_w0": "array 'conv0.w0' has a non-finite value",
     "inf_in_descriptor_geo": "array 'descriptor.geo' has a non-finite value",
+    # a size stored as a float passes ModelConfig and the element count,
+    # but not the allocation
+    "float_k_geo": "invalid checkpoint config: 'float' object cannot be interpreted",
 }
 
 # the first array's two u64 dims, for each dims defect
@@ -162,6 +194,8 @@ def write_malformed(path, defect):
         cfg["t_schedule"][-1] = 3
     elif defect == "negative_seed":
         cfg["seed"] = -1
+    elif defect == "float_k_geo":
+        cfg["k_geo"] = float(cfg["k_geo"])
     elif defect == "huge_block_channels":
         cfg["block_channels"] = [10**5] * 3
     elif defect == "block_channels_beyond_file":

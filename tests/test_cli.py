@@ -184,10 +184,9 @@ def test_pool_invalid_input_exit_2(tmp_path, capsys):
 
 
 def _write_config(tmp_path, extra=""):
-    path = str(tmp_path / "run.cfg")
-    with open(path, "w") as fh:
-        fh.write(
-            "# tiny model\n"
+    """The tiny-model config, then the lines of ``extra``, which replace
+    the base lines setting the same keys (a key set twice is an error)."""
+    base = ("# tiny model\n"
             "num_classes = 3\n"
             "k_geo = 2\nk_geom = 2\n"
             "block_channels = 8, 8, 8\n"
@@ -197,7 +196,16 @@ def _write_config(tmp_path, extra=""):
             "train.batch_size = 3\n"
             "synthetic.samples_per_class = 3\n"
             "synthetic.face_band = 80 140\n"
-            "synthetic.seed = 0\n" + extra)
+            "synthetic.seed = 0\n")
+
+    def key(line):
+        return line.split("=", 1)[0].strip()
+
+    replaced = {key(ln) for ln in extra.splitlines()}
+    path = str(tmp_path / "run.cfg")
+    with open(path, "w") as fh:
+        fh.write("".join(ln for ln in base.splitlines(keepends=True)
+                         if key(ln) not in replaced) + extra)
     return path
 
 
@@ -262,6 +270,10 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("block_channels = 1000000 1000000 1000000",
      "15000045000017 parameters exceed the budget of 100000000"),
     ("k_geo = 10000000", "750001187 parameters exceed the budget of 100000000"),
+    # a key set twice, also when spaced otherwise; the last value used to win
+    ("train.epochs = 1\ntrain.epochs = 2", "run.cfg:13: key 'train.epochs' repeats line 12"),
+    ("train.threads=1\ntrain.learning_rate = 0.01\ntrain.threads = 2",
+     "run.cfg:15: key 'train.threads' repeats line 13"),
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "normalize_regions", "region_size",
         "epochs_zero", "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
         "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
@@ -269,7 +281,8 @@ def test_train_malformed_config_line(tmp_path, capsys):
         "train_seed_negative", "model_seed_negative", "t_schedule_below_4",
         "num_classes_below_data", "face_band_unreachable", "no_synthetic_classes",
         "samples_per_class_huge", "face_band_huge", "momentum", "weight_decay", "rigid",
-        "block_channels_over_budget", "k_geo_over_budget"])
+        "block_channels_over_budget", "k_geo_over_budget", "repeated_key",
+        "repeated_key_unspaced"])
 def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
                                              line, message):
     def no_data(*args, **kwargs):

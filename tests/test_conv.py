@@ -233,7 +233,7 @@ def _fd_check(mesh_builder, seed=7, tol=1e-4, step=1e-5):
     grad_out = rng.normal(size=(F, 2))
     _, cache = conv_forward(feats, regions, params)
     # kink check: keep away from abs/ReLU non-differentiability
-    assert np.abs(cache["diff"][cache["valid"]]).min() > 1e-7
+    assert np.abs(cache["diff"][regions.valid.T]).min() > 1e-7
     gf, gp = conv_backward(feats, regions, params, grad_out, cache)
 
     def loss(fe, pa):
@@ -319,7 +319,7 @@ def test_conv_matches_oracle_bytes(activation):
                 feats, regions, params, grad_out, activation=activation)
             assert out.tobytes() == ref_out.tobytes()
             assert cache["diff"].tobytes() == ref_cache["diff"].tobytes()
-            assert cache["valid"].tobytes() == ref_cache["valid"].tobytes()
+            assert regions.valid.T.tobytes() == ref_cache["valid"].tobytes()
             assert np.array_equal(cache["sign"],
                                   np.sign(ref_cache["diff"]).transpose(1, 0, 2))
             assert cache["z"].tobytes() == ref_cache["z"].tobytes()

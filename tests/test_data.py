@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from meshlearn.core import MeshError, euler_characteristic, save_off, validate_mesh
+from meshlearn.core import Mesh, MeshError, euler_characteristic, save_off, validate_mesh
 from meshlearn import data
 from meshlearn.data import (MAX_SYNTHETIC_FACES, MAX_SYNTHETIC_SAMPLES, Dataset,
                             Sample, SyntheticSpec, generate_synthetic,
@@ -203,3 +203,41 @@ def test_write_dataset_layout_and_manifest(tmp_path):
     back = load_dataset(str(tmp_path))
     assert len(back.samples) == len(ds.samples)
     assert back.class_names == ds.class_names
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_write_dataset_of_loaded_dataset_round_trips(tmp_path, monkeypatch, relative):
+    """A loaded mesh is named by its path; writing it elsewhere uses the
+    file stem, so every file lands under the new root and loads back to
+    the same arrays, class ids and splits."""
+    spec = SyntheticSpec(classes=("box", "torus"), samples_per_class=2,
+                         face_band=(80, 200), seed=3)
+    monkeypatch.chdir(tmp_path)
+    a, b = ("a", "b") if relative else (str(tmp_path / "a"), str(tmp_path / "b"))
+    write_dataset(generate_synthetic(spec), a, split="test")
+    first = load_dataset(a)
+    manifest = write_dataset(first, b)
+    assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+    for line in open(manifest).read().splitlines():
+        path = line.split()[0]
+        assert not path.startswith("..") and os.path.exists(os.path.join(b, path))
+    second = load_dataset(b)
+    assert second.class_names == first.class_names
+    assert len(second.samples) == len(first.samples) == 4
+    for x, y in zip(first.samples, second.samples):
+        assert (x.class_id, x.split) == (y.class_id, y.split)
+        assert x.mesh.vertices.tobytes() == y.mesh.vertices.tobytes()
+        assert x.mesh.faces.tobytes() == y.mesh.faces.tobytes()
+    assert {os.path.basename(s.mesh.name) for s in second.samples} == {
+        os.path.basename(s.mesh.name) for s in first.samples}
+
+
+def test_write_dataset_rejects_two_samples_on_one_path(tmp_path):
+    """Two samples whose names share a stem in one class and split raise
+    before any file is written, where the second used to overwrite the first."""
+    ds = Dataset([Sample(mesh=Mesh(m.vertices, m.faces, name=name), class_id=0)
+                  for m, name in ((tetrahedron(), "x/m0.off"), (tetrahedron(), "y/m0.obj"))],
+                 ["c"])
+    with pytest.raises(ValueError, match="two samples would be written to .*m0.off"):
+        write_dataset(ds, str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")

@@ -338,7 +338,7 @@ def test_backward_finite_differences_20_draws():
     for draw in range(20):
         rng = np.random.default_rng(100 + draw)
         params = init_descriptor_params(2, 2, rng)
-        grad_out = rng.normal(size=(mesh.num_faces, params.out_channels))
+        grad_out = rng.normal(size=(mesh.num_faces, 3 * (params.k_geo + params.k_geom)))
         analytic = descriptor_backward(terms, gterms, params, grad_out)
 
         def loss(p):

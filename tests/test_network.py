@@ -141,7 +141,7 @@ def test_conv_caches_keep_signs_not_differences():
     _, tape = net.model_forward(mesh, net.init_params(config), config)
     held = with_diff = 0
     for bt in tape.blocks:
-        K, F = bt.regions.idx.shape
+        K, F = bt.conv_caches[0].regions.idx.shape
         for cache in bt.conv_caches:
             x = cache.features
             assert not any(a.dtype == np.float64 and a.size == K * x.size
@@ -161,16 +161,19 @@ def test_conv_caches_hold_each_layer_input_once():
     params = net.init_params(config)
     mesh = small_mesh(seed=1)
     logits, tape = net.model_forward(mesh, params, config)
-    assert [f.name for f in dataclasses.fields(net.BlockTape)] == [
-        "regions", "conv_caches", "pool"]
+    assert {f.name for f in dataclasses.fields(net.BlockTape)} == {"conv_caches", "pool"}
     assert "gap_input" not in [f.name for f in dataclasses.fields(net.Tape)]
     assert all(bt.pool.pass_count > 0 for bt in tape.blocks)
+    # one region table per block, held by each of its caches
+    assert tape.blocks[0].conv_caches[0].regions is tape.static.first_regions
+    assert all(c.regions is bt.conv_caches[0].regions
+               for bt in tape.blocks for c in bt.conv_caches)
     layer = 0
     for b, bt in enumerate(tape.blocks):
         for l, cache in enumerate(bt.conv_caches):
             if l > 0:
                 prev = bt.conv_caches[l - 1]
-                out, _ = conv_forward(prev.features, bt.regions,
+                out, _ = conv_forward(prev.features, cache.regions,
                                       params.conv_layers[layer - 1],
                                       activation=config.layer_activation(b, l - 1))
                 assert cache.features.tobytes() == out.tobytes()
@@ -351,6 +354,30 @@ def test_backward_classifier_outer_product(rng):
     assert np.array_equal(grads.classifier_b, gl)
 
 
+def _tape_arrays(tape):
+    yield from (tape.static.geo_terms, tape.static.geom_terms, tape.gap_output)
+    for bt in tape.blocks:
+        yield bt.pool.features
+        for cache in bt.conv_caches:
+            yield from (cache.features, cache.regions.members, cache.regions.idx,
+                        cache.regions.valid, *cache.values())
+
+
+def test_backward_arrays_share_no_memory(rng):
+    """The gradient is a fresh set of arrays: none is a view of the params,
+    of ``grad_logits`` or of anything on the tape."""
+    config = small_config()
+    params = net.init_params(config)
+    _, tape = net.model_forward(small_mesh(), params, config)
+    gl = rng.normal(size=3)
+    grads = net.model_backward(tape, params, config, gl)
+    held = [a for _, a in params.named_arrays()] + [gl, *_tape_arrays(tape)]
+    assert [n for n, _ in grads.named_arrays()] == [n for n, _ in params.named_arrays()]
+    for name, g in grads.named_arrays():
+        assert g.dtype == np.float64
+        assert not any(np.shares_memory(g, a) for a in held), name
+
+
 # ---------------------------------------------------------------------------
 # gradient check harness
 
@@ -424,6 +451,23 @@ def test_grad_check_corrupt_negative_control(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # parameter plumbing
+
+
+def test_zeros_like_params_is_positive_zero_and_fresh():
+    """Same names, shapes and dtypes, every entry +0.0 (also where the
+    input holds -0.0), and no array shared with the input."""
+    config = small_config()
+    params = net.init_params(config)
+    params.descriptor.geo[0, 0] = -0.0
+    params.classifier_b[:] = -0.0
+    before = [a.copy() for _, a in params.named_arrays()]
+    zeros = net.zeros_like_params(params)
+    assert [(n, a.shape, a.dtype) for n, a in zeros.named_arrays()] == [
+        (n, a.shape, a.dtype) for n, a in params.named_arrays()]
+    for (_, z), (_, p), b in zip(zeros.named_arrays(), params.named_arrays(), before):
+        assert not z.any() and not np.signbit(z).any()
+        assert not np.shares_memory(z, p)
+        assert p.tobytes() == b.tobytes()
 
 
 def test_add_params_and_zeros_like(rng):

@@ -69,6 +69,28 @@ def test_optimizer_step_functional_form():
     assert np.array_equal(params.classifier_w, w0)
 
 
+def test_negative_zero_gradient_steps_as_positive_zero():
+    """A -0.0 gradient entry, which model_backward may now return for the
+    descriptor, gives the same batch sum and the same Adam step, bit for
+    bit, as +0.0."""
+    config = small_config()
+    runs = []
+    for zero in (0.0, -0.0):
+        grads = net.init_params(config, np.random.default_rng(1))
+        grads.descriptor.geo[0, :] = zero
+        acc = net.zeros_like_params(grads)
+        net.add_params(acc, grads, scale=1.0 / 3)
+        out = [a.tobytes() for _, a in acc.named_arrays()]
+        for step_grads in (acc, grads):      # the batch sum, and a bare gradient
+            params, opt = net.init_params(config), Adam(lr=0.01)
+            for _ in range(2):
+                opt.step(params, step_grads)
+            out += [a.tobytes() for _, a in params.named_arrays()]
+            out += [opt.m["descriptor.geo"].tobytes(), opt.v["descriptor.geo"].tobytes()]
+        runs.append(out)
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
