@@ -109,10 +109,7 @@ def load_checkpoint(path: str):
     # than the file holds
     if net.param_count(config) != sum(a.size for a in arrays.values()):
         raise mismatch
-    try:   # sizes stored as floats pass ModelConfig but not the allocation
-        params = net.init_params(config)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"invalid checkpoint config: {e}") from None
+    params = net.init_params(config)
     needed = params.named_arrays()
     if ({k: (a.shape, a.dtype) for k, a in arrays.items()}
             != {k: (a.shape, a.dtype) for k, a in needed}):
@@ -126,6 +123,7 @@ def load_checkpoint(path: str):
 
 # Keys older checkpoints store for retired model variants, at their one value
 RETIRED_KEYS = {"abs_mode": "componentwise", "normalize_regions": False, "head": "linear"}
+_LISTS = ("block_channels", "region_sizes", "t_schedule")
 
 
 def _config_from_json(blob: bytes) -> net.ModelConfig:
@@ -144,8 +142,15 @@ def _config_from_json(blob: bytes) -> net.ModelConfig:
     if keys != fields:
         raise CheckpointError(f"checkpoint config has unknown keys {sorted(keys - fields)} "
                               f"and lacks keys {sorted(fields - keys)}")
+    # every field holds an int (not a bool) or a list of them, except the flag
+    for k, value in cfg.items():
+        kind = bool if k == "use_activation" else int
+        for v in value if k in _LISTS and isinstance(value, list) else [value]:
+            if type(v) is not kind:
+                raise CheckpointError(f"invalid checkpoint config: {type(v).__name__!r} object "
+                                      f"cannot be interpreted as {kind.__name__} in {k!r}")
     try:
-        for k in ("block_channels", "region_sizes", "t_schedule"):
+        for k in _LISTS:
             cfg[k] = tuple(cfg[k])
         return net.ModelConfig(**cfg)
     except (TypeError, ValueError) as e:

@@ -8,20 +8,22 @@ followed by an optional ReLU. Both sums are order invariant; in addition
 contributions are accumulated in ascending face-id order so the result
 is bit-identical under any permutation of the stored region list.
 
-Regions of all faces grow at once by a lockstep BFS. Each region table
-builds its sparse structure once, slot-major: canonical member order and
-validity mask as (K, F) tables, the padded rows, and the transposed CSR of
-its valid slots. The convolution works on (K, F, C) tensors, so each sum
-over a region is K - 1 adds of whole (F, C) slabs, in slot order. That is
-the order in which NumPy reduces a face-major (F, K, C) array, with one
-exception: with one channel, NumPy sums a contiguous face-major row
-pairwise once K >= 8, so a one-channel slot sum reduces a face-major copy
-instead. The backward cache keeps the sums, the pre-activation and the
+Regions of all faces grow at once by a lockstep BFS, which stops as soon
+as no row can grow. Each region table builds its sparse structure once,
+slot-major: canonical member order and validity mask as (K, F) tables,
+the padded rows, and the transposed CSR of its valid slots. The
+convolution works on (K, F, C) tensors, so each sum over a region is
+K - 1 adds of whole (F, C) slabs, in slot order. That is the order in
+which NumPy reduces a face-major (F, K, C) array, with one exception:
+with one channel, NumPy sums a contiguous face-major row pairwise once
+K >= 8, so a one-channel slot sum reduces a face-major copy instead. The backward cache keeps the sums, the pre-activation and the
 int8 signs of the slot-major differences, the only part of them the
-backward pass reads; ``diff`` is rebuilt as a face-major (F, K, C)
-view when looked up. The backward pass scatters
-through the CSR, each face's terms in ascending source face as
-``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
+backward pass reads, made by two compares (``d > 0`` minus ``d < 0``,
+the bytes of ``np.sign`` cast to int8, NaN included); ``diff`` is rebuilt
+as a face-major (F, K, C) view when looked up. The backward pass sums
+the signs over slots in an integer type, exact as the float sum was,
+and scatters through the CSR, each face's terms in ascending source face
+as ``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``
 added their +-0.0 onto face 0, which changed no finite result: a gradient
 row starts as a matrix product, never -0.0, and x + +-0.0 = x for every
 other x. (A non-finite padded row no longer leaks onto face 0.)
@@ -83,7 +85,8 @@ def build_regions(adj: AdjacencyMatrix, kernel_size: int) -> RegionTable:
     order) and expands each frontier face's slots in turn, skipping NONE
     and already-included faces. All faces grow in lockstep: column 0 of
     M is the face itself, and step (h, s) appends ``nb[M[f, h], s]`` to
-    each row f with a face at h and room left. Deterministic, and
+    each row f with a face at h and room left, until no row has both.
+    Deterministic, and
     invariant under rigid transforms because the slot order is.
     """
     if kernel_size < 3:
@@ -92,14 +95,16 @@ def build_regions(adj: AdjacencyMatrix, kernel_size: int) -> RegionTable:
     M = np.full((F, kernel_size + 1), NONE, dtype=np.int64)
     M[:, 0] = np.arange(F)
     n = np.ones(F, dtype=np.int64)
-    for h in range(kernel_size):
-        for s in range(3):
-            rows = np.flatnonzero((h < n) & (n <= kernel_size))
-            cand = nb[M[rows, h], s]
-            new = (cand != NONE) & ~(M[rows] == cand[:, None]).any(axis=1)
-            rows = rows[new]
-            M[rows, n[rows]] = cand[new]
-            n[rows] += 1
+    for h, s in np.ndindex(kernel_size, 3):
+        # a row with no face at h, or no room, never grows again
+        rows = np.flatnonzero((h < n) & (n <= kernel_size))
+        if not len(rows):
+            break
+        cand = nb[M[rows, h], s]
+        new = (cand != NONE) & ~(M[rows] == cand[:, None]).any(axis=1)
+        rows = rows[new]
+        M[rows, n[rows]] = cand[new]
+        n[rows] += 1
     return RegionTable(M[:, 1:].copy())
 
 
@@ -190,7 +195,8 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     if features.shape[1] != params.in_channels:
         raise ValueError("feature channels do not match conv params")
     diff, s1 = _differences(features, regions)
-    sign = np.sign(diff, out=np.empty(diff.shape, np.int8), casting="unsafe")
+    sign = np.greater(diff, 0.0).view(np.int8)
+    sign -= np.less(diff, 0.0).view(np.int8)
     s2 = _slot_sum(np.abs(diff, out=diff))
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
@@ -212,10 +218,12 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     gz = grad_out * (z > 0) if activation else grad_out
     h1 = gz @ params.w1   # (F, C_in) pull-back of the neighbor sum
     h2 = gz @ params.w2   # pull-back of the abs-diff sum
-    sign = cache["sign"].astype(np.float64)                # (K, F, C_in)
+    sign = cache["sign"]                                   # (K, F, C_in)
     grad_features = gz @ params.w0
-    # sums of -1/0/1 are exact in any order, so no one-channel rule here
-    grad_features += h2 * sign.sum(axis=0)
+    # an integer sum of -1/0/1, exact as the float sum in any order, so no
+    # one-channel rule here; the type holds +-K
+    grad_features += h2 * sign.sum(axis=0, dtype=np.min_scalar_type(-len(sign) - 1))
+    sign = sign.astype(np.float64)
     # per slot h1 - h2 * sign, scattered onto its member (padding skipped)
     np.multiply(h2, sign, out=sign)
     np.subtract(h1, sign, out=sign)

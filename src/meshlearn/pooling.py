@@ -59,8 +59,9 @@ class Provenance(CSR):
         """Adjoint of ``mean``: old face i sums grad[j] / len(row j) over the
         rows j holding it, in ascending j (the transposed CSR's order)."""
         t = self.transposed
-        out = np.zeros((num_old,) + grad.shape[1:])
-        t.segment_sum(grad / np.diff(self.indptr)[:, None], out=out[:len(t)])
+        out = t.segment_sum(grad / np.diff(self.indptr)[:, None])
+        if len(t) < num_old:   # the highest old faces are held by no new face
+            out = np.concatenate([out, np.zeros((num_old - len(t),) + grad.shape[1:])])
         return out
 
 

@@ -57,11 +57,14 @@ class Adam:
         b1t = 1.0 - self.BETA1 ** self.t
         b2t = 1.0 - self.BETA2 ** self.t
         for (name, p), (_, g) in zip(params.named_arrays(), grads.named_arrays()):
-            m = self.m.get(name, np.zeros_like(p))
-            v = self.v.get(name, np.zeros_like(p))
-            m = self.BETA1 * m + (1 - self.BETA1) * g
-            v = self.BETA2 * v + (1 - self.BETA2) * g * g
-            self.m[name], self.v[name] = m, v
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            # in place, in the order of m = b1 * m + (1 - b1) * g
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
 
 

@@ -150,6 +150,14 @@ DEFECTS = {
     # a size stored as a float passes ModelConfig and the element count,
     # but not the allocation
     "float_k_geo": "invalid checkpoint config: 'float' object cannot be interpreted",
+    # each field's JSON type is checked: ints that are not bools, lists of
+    # them, and a bool flag
+    "float_region_size": r"'float' object cannot be interpreted as int in 'region_sizes'",
+    "float_t_schedule": r"'float' object cannot be interpreted as int in 't_schedule'",
+    "float_seed": r"'float' object cannot be interpreted as int in 'seed'",
+    "bool_k_geo": r"'bool' object cannot be interpreted as int in 'k_geo'",
+    "string_use_activation": r"'str' object cannot be interpreted as bool in 'use_activation'",
+    "int_use_activation": r"'int' object cannot be interpreted as bool in 'use_activation'",
 }
 
 # the first array's two u64 dims, for each dims defect
@@ -196,6 +204,18 @@ def write_malformed(path, defect):
         cfg["seed"] = -1
     elif defect == "float_k_geo":
         cfg["k_geo"] = float(cfg["k_geo"])
+    elif defect == "float_region_size":
+        cfg["region_sizes"] = [3.5, 4, 5]
+    elif defect == "float_t_schedule":
+        cfg["t_schedule"] = [40.5, 34, 28]
+    elif defect == "float_seed":
+        cfg["seed"] = 1.5
+    elif defect == "bool_k_geo":
+        cfg["k_geo"] = True
+    elif defect == "string_use_activation":
+        cfg["use_activation"] = "no"
+    elif defect == "int_use_activation":
+        cfg["use_activation"] = 0
     elif defect == "huge_block_channels":
         cfg["block_channels"] = [10**5] * 3
     elif defect == "block_channels_beyond_file":

@@ -350,3 +350,49 @@ def test_conv_backward_bordered_matches_oracle_bytes():
             assert gf.tobytes() == ref_gf.tobytes()
             for got, ref in zip((gp.w0, gp.w1, gp.w2, gp.bias), ref_gp):
                 assert got.tobytes() == ref.tobytes()
+
+
+def test_slot_sign_sums_beyond_int8():
+    """K = 200 on icosphere(2): channel 0 rises with face id and channel 1
+    falls, so the extreme faces see 200 signs of one kind, more than int8
+    holds. Forward and backward match the oracle byte for byte."""
+    rng = np.random.default_rng(9)
+    mesh = icosphere(2)
+    regions = build_regions(build_adjacency(mesh), 200)
+    F = mesh.num_faces
+    feats = np.stack([np.arange(F), -np.arange(F)], axis=1).astype(np.float64)
+    assert np.abs(conv_forward(feats, regions, init_conv_params(2, 3, rng))[1]["sign"]
+                  .sum(axis=0, dtype=np.int64)).max() == 200
+    for activation in (False, True):
+        params = init_conv_params(2, 3, rng)
+        grad_out = rng.normal(size=(F, 3))
+        out, _ = conv_forward(feats, regions, params, activation=activation)
+        ref_out, _ = oracle_conv_forward(feats, regions, params, activation=activation)
+        gf, gp = backward(feats, regions, params, grad_out, activation=activation)
+        ref_gf, ref_gp = oracle_conv_backward(feats, regions, params, grad_out,
+                                              activation=activation)
+        assert out.tobytes() == ref_out.tobytes()
+        assert gf.tobytes() == ref_gf.tobytes()
+        for got, ref in zip((gp.w0, gp.w1, gp.w2, gp.bias), ref_gp):
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_stored_signs_match_np_sign_cast():
+    """The two-compare int8 signs equal ``np.sign`` cast to int8 on
+    differences holding +-0.0, +-inf, subnormals and NaN (inf - inf and
+    NaN inputs)."""
+    rng = np.random.default_rng(4)
+    mesh = icosphere(1)
+    regions = build_regions(build_adjacency(mesh), 6)
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.0, np.nan])
+    feats = rng.choice(pool, size=(mesh.num_faces, 7))
+    params = init_conv_params(7, 2, rng)
+    with np.errstate(all="ignore"):
+        _, cache = conv_forward(feats, regions, params)
+        diff = cache["diff"].transpose(1, 0, 2)
+        expect = np.sign(diff, out=np.empty(diff.shape, np.int8), casting="unsafe")
+    for kind in (np.isnan, np.isinf, lambda d: (d != 0) & (np.abs(d) < 1e-300),
+                 lambda d: (d == 0) & np.signbit(d), lambda d: (d == 0) & ~np.signbit(d)):
+        assert kind(diff).any()
+    assert cache["sign"].dtype == np.int8
+    assert cache["sign"].tobytes() == expect.tobytes()

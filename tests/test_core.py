@@ -748,23 +748,33 @@ def test_csr_from_pairs_matches_lexsort(n):
 
 
 def test_csr_segment_sum_matches_scalar_loop():
-    """A ragged CSR (empty rows, one-entry rows, one long row; columns in
-    stored order, with repeats) called again and again on one instance,
-    with and without ``out=``: the sums of the scalar loop, byte for byte,
-    signed zeros included."""
+    """Ragged CSRs (empty rows, one-entry rows, a long row that is not the
+    first; tied row lengths in both orders; columns in stored order, with
+    repeats) called again and again on one instance, with and without
+    ``out=``, also a row slice of a larger array: the sums of the scalar
+    loop, byte for byte, signed zeros included."""
     rng = np.random.default_rng(3)
     lengths = rng.integers(0, 5, size=30)
     lengths[[0, 9, 29]] = 0
     lengths[[1, 10]] = 1
     lengths[17] = 40
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    csr = CSR(indptr, rng.integers(0, 25, size=indptr[-1]))
-    for _ in range(4):
-        values = rng.normal(size=(25, 3)) * 10.0 ** rng.integers(-8, 9, size=(25, 3))
-        values[rng.random(values.shape) < 0.3] = -0.0
-        start = np.where(rng.random((30, 3)) < 0.5, -0.0, rng.normal(size=(30, 3)))
-        expect = _loop_segment_sum(csr, values, np.zeros((30, 3)))
-        assert csr.segment_sum(values).tobytes() == expect.tobytes()
-        out = start.copy()
-        assert csr.segment_sum(values, out=out) is out
-        assert out.tobytes() == _loop_segment_sum(csr, values, start).tobytes()
+    tied = [3, 1, 3, 0, 2, 3, 2, 1, 3, 0, 2, 2, 1, 3, 1, 0, 2, 3, 1, 2, 0, 3, 1, 2, 3,
+            2, 1, 0, 3, 2]
+    for lengths in (lengths, tied, tied[::-1]):
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        csr = CSR(indptr, rng.integers(0, 25, size=indptr[-1]))
+        for _ in range(4):
+            values = rng.normal(size=(25, 3)) * 10.0 ** rng.integers(-8, 9, size=(25, 3))
+            values[rng.random(values.shape) < 0.3] = -0.0
+            start = np.where(rng.random((30, 3)) < 0.5, -0.0, rng.normal(size=(30, 3)))
+            expect = _loop_segment_sum(csr, values, np.zeros((30, 3)))
+            assert csr.segment_sum(values).tobytes() == expect.tobytes()
+            out = start.copy()
+            assert csr.segment_sum(values, out=out) is out
+            assert out.tobytes() == _loop_segment_sum(csr, values, start).tobytes()
+            big = rng.normal(size=(36, 3))
+            expect = big.copy()
+            expect[4:34] = _loop_segment_sum(csr, values, big[4:34])
+            out = big[4:34]
+            assert csr.segment_sum(values, out=out) is out
+            assert big.tobytes() == expect.tobytes()

@@ -816,3 +816,21 @@ def test_backward_provenance_mismatch(rng):
     out = pool_to_target(mesh, adj, np.zeros((20, 2)), 16)
     with pytest.raises(ValueError, match="provenance"):
         pooling_backward(out.passes, np.zeros((15, 2)))
+
+
+def test_backward_pads_old_faces_held_by_no_row():
+    """The highest old faces feed no new face, so the transposed provenance
+    is shorter than the old face count and the adjoint pads it with zeros:
+    byte for byte the scalar adjoint, -0.0 entries included."""
+    rng = np.random.default_rng(8)
+    # rows of 1-5 of old faces 0-31, some shared; faces 32-39 are in none
+    rows = [np.sort(rng.choice(32, size=rng.integers(1, 6), replace=False))
+            for _ in range(10)]
+    prov = Provenance(np.concatenate([[0], np.cumsum([len(r) for r in rows])]),
+                      np.concatenate(rows))
+    assert len(prov.transposed) <= 32
+    grad = rng.normal(size=(10, 6))
+    grad[rng.random(grad.shape) < 0.3] = -0.0
+    g = prov.mean_adjoint(grad, 40)
+    assert g.tobytes() == _adjoint_reference(grad, prov, 40).tobytes()
+    assert not g[32:].any()

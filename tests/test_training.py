@@ -69,6 +69,28 @@ def test_optimizer_step_functional_form():
     assert np.array_equal(params.classifier_w, w0)
 
 
+def test_adam_in_place_matches_functional_form_bytes():
+    """200 steps on the default model: the in-place moments give the
+    parameters of the functional recursion, byte for byte."""
+    rng = np.random.default_rng(6)
+    params = net.init_params(net.ModelConfig())
+    ref = [a.copy() for _, a in params.named_arrays()]
+    m, v = [np.zeros_like(a) for a in ref], [np.zeros_like(a) for a in ref]
+    opt = Adam(lr=1e-3)
+    for t in range(1, 201):
+        grads = net.zeros_like_params(params)
+        for _, g in grads.named_arrays():
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 3)
+        opt.step(params, grads)
+        b1t, b2t = 1.0 - Adam.BETA1 ** t, 1.0 - Adam.BETA2 ** t
+        for i, (_, g) in enumerate(grads.named_arrays()):
+            m[i] = Adam.BETA1 * m[i] + (1 - Adam.BETA1) * g
+            v[i] = Adam.BETA2 * v[i] + (1 - Adam.BETA2) * g * g
+            ref[i] -= opt.lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + Adam.EPS)
+    for (_, a), b in zip(params.named_arrays(), ref):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_negative_zero_gradient_steps_as_positive_zero():
     """A -0.0 gradient entry, which model_backward may now return for the
     descriptor, gives the same batch sum and the same Adam step, bit for
