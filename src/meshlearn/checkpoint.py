@@ -16,8 +16,9 @@ Byte layout (all integers little-endian, floats IEEE-754 little-endian):
 
 Round-trips are bit-exact. Loading verifies magic, version, truncation
 and trailing bytes, that the config holds exactly the ``ModelConfig``
-fields (plus ``RETIRED_KEYS`` at their one value), and that the arrays
-have the names, shapes and dtype that config needs and finite values.
+fields (plus ``RETIRED_KEYS`` at their one value) with their JSON types,
+and that the arrays have the names, shapes and dtype that config needs
+and finite values.
 """
 
 from __future__ import annotations

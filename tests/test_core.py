@@ -749,10 +749,11 @@ def test_csr_from_pairs_matches_lexsort(n):
 
 def test_csr_segment_sum_matches_scalar_loop():
     """Ragged CSRs (empty rows, one-entry rows, a long row that is not the
-    first; tied row lengths in both orders; columns in stored order, with
-    repeats) called again and again on one instance, with and without
-    ``out=``, also a row slice of a larger array: the sums of the scalar
-    loop, byte for byte, signed zeros included."""
+    first; tied row lengths in both orders; rows already in descending
+    length; columns in stored order, with repeats) called again and again
+    on one instance, with and without ``out=``, also a row slice of a
+    larger array: the sums of the scalar loop, byte for byte, signed zeros
+    included."""
     rng = np.random.default_rng(3)
     lengths = rng.integers(0, 5, size=30)
     lengths[[0, 9, 29]] = 0
@@ -760,7 +761,8 @@ def test_csr_segment_sum_matches_scalar_loop():
     lengths[17] = 40
     tied = [3, 1, 3, 0, 2, 3, 2, 1, 3, 0, 2, 2, 1, 3, 1, 0, 2, 3, 1, 2, 0, 3, 1, 2, 3,
             2, 1, 0, 3, 2]
-    for lengths in (lengths, tied, tied[::-1]):
+    # the last two are in descending length already, so no row moves
+    for lengths in (lengths, tied, tied[::-1], sorted(tied, reverse=True), [2] * 30):
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         csr = CSR(indptr, rng.integers(0, 25, size=indptr[-1]))
         for _ in range(4):
