@@ -147,11 +147,9 @@ DEFECTS = {
     # non-finite weights: the loader checks every array
     "nan_in_conv0_w0": "array 'conv0.w0' has a non-finite value",
     "inf_in_descriptor_geo": "array 'descriptor.geo' has a non-finite value",
-    # a size stored as a float passes ModelConfig and the element count,
-    # but not the allocation
-    "float_k_geo": "invalid checkpoint config: 'float' object cannot be interpreted",
     # each field's JSON type is checked: ints that are not bools, lists of
     # them, and a bool flag
+    "float_k_geo": "invalid checkpoint config: 'float' object cannot be interpreted",
     "float_region_size": r"'float' object cannot be interpreted as int in 'region_sizes'",
     "float_t_schedule": r"'float' object cannot be interpreted as int in 't_schedule'",
     "float_seed": r"'float' object cannot be interpreted as int in 'seed'",
