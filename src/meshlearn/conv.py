@@ -16,11 +16,12 @@ convolution works on (K, F, C) tensors, so each sum over a region is
 K - 1 adds of whole (F, C) slabs, in slot order. That is the order in
 which NumPy reduces a face-major (F, K, C) array, with one exception:
 with one channel, NumPy sums a contiguous face-major row pairwise once
-K >= 8, so a one-channel slot sum reduces a face-major copy instead. The backward cache keeps the sums, the pre-activation and the
-int8 signs of the slot-major differences, the only part of them the
-backward pass reads, made by two compares (``d > 0`` minus ``d < 0``,
-the bytes of ``np.sign`` cast to int8, NaN included); ``diff`` is rebuilt
-as a face-major (F, K, C) view when looked up. The backward pass sums
+K >= 8, so a one-channel slot sum reduces a face-major copy instead.
+The backward cache keeps the sums, the pre-activation and the int8
+signs of the slot-major differences, the only part of them the backward
+pass reads, made by two compares (``d > 0`` minus ``d < 0``, the bytes
+of ``np.sign`` cast to int8, NaN included); ``diff`` is rebuilt as a
+face-major (F, K, C) view when looked up. The backward pass sums
 the signs over slots in an integer type, exact as the float sum was,
 and scatters through the CSR, each face's terms in ascending source face
 as ``np.add.at`` added them. Padding slots scatter nothing; ``np.add.at``

@@ -124,11 +124,10 @@ class CSR:
         return map(self.__getitem__, range(len(self)))
 
     @cached_property
-    def _rounds(self) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """The rows by descending length (a stable sort; None when that is
-        their own order), and round k of ``segment_sum``: the k-th column
-        of every row longer than k, which in that order are the first
-        ``len(round k)`` rows."""
+    def _rounds(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The rows by descending length (a stable sort), and round k of
+        ``segment_sum``: the k-th column of every row longer than k, which
+        in that order are the first ``len(round k)`` rows."""
         counts = np.diff(self.indptr)
         order = np.argsort(-counts, kind="stable")
         # n[k] rows are longer than k; pair i of round k is row order[i]
@@ -136,27 +135,24 @@ class CSR:
         k = np.repeat(np.arange(len(n)), n)
         i = np.arange(len(k)) - np.repeat(np.cumsum(n) - n, n)
         cols = self.indices[self.indptr[order[i]] + k]
-        return (None if (np.diff(counts) <= 0).all() else order,
-                np.split(cols, np.cumsum(n)[:-1]))
+        return order, np.split(cols, np.cumsum(n)[:-1])
 
     def segment_sum(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Row j: ``values[self[j]]`` added onto ``out[j]`` (in place; zeros
-        of ``values``' dtype if None) strictly left to right, the order of
-        a scalar loop or of ``np.add.at`` (``np.add.reduceat`` may
-        reassociate). The rows are summed in descending length, so each
-        round adds onto a prefix of them. The rounds are built on the
-        first call and kept."""
+        """Row j: ``values[self[j]]`` added onto ``out[j]`` (in place; float64
+        zeros if None) strictly left to right, the order of a scalar loop or
+        of ``np.add.at`` (``np.add.reduceat`` may reassociate). The rows are
+        summed in descending length, so each round adds onto a prefix of
+        them. The rounds are built on the first call and kept."""
         order, rounds = self._rounds
+        if out is None:   # sum in float64 (or wider), whatever the input
+            values = values.astype(np.result_type(values, np.float64), copy=False)
         buf = np.empty((len(self),) + values.shape[1:], dtype=values.dtype)
-        acc = (np.zeros_like(buf) if out is None
-               else out if order is None else out[order])
+        acc = np.zeros_like(buf) if out is None else out[order]
         for cols in rounds:
             # mode="clip" lets take write into buf directly ("raise" would
             # buffer); the columns are in range by construction
             acc[:len(cols)] += np.take(values, cols, axis=0, out=buf[:len(cols)],
                                        mode="clip")
-        if order is None:
-            return acc
         if out is None:   # the sums leave in the take buffer: no third array
             out = buf
         out[order] = acc
