@@ -172,9 +172,6 @@ def cmd_train(args) -> int:
     tr, te = _load_train_test(args, synth_kw, model_kw.get("num_classes"))
     if "num_classes" not in model_kw:
         model_config = dataclasses.replace(model_config, num_classes=tr.num_classes)
-    os.makedirs(args.out, exist_ok=True)
-    metrics_path = os.path.join(args.out, "metrics.txt")
-    ckpt_path = os.path.join(args.out, "best.ckpt")
     lines = []
 
     def progress(em):
@@ -183,6 +180,10 @@ def cmd_train(args) -> int:
 
     result = training.train(tr.pairs(), te.pairs(), model_config, train_config,
                             progress=progress)
+    # made only now, so a run that fails leaves no empty --out behind
+    os.makedirs(args.out, exist_ok=True)
+    metrics_path = os.path.join(args.out, "metrics.txt")
+    ckpt_path = os.path.join(args.out, "best.ckpt")
     with open(metrics_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     ckpt.save_checkpoint(ckpt_path, result.best_params, model_config)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
-from .core import normalize_mesh
+from .core import MeshError, normalize_mesh
 
 
 @dataclass
@@ -97,11 +97,17 @@ class TrainResult:
 
 
 def prepare(samples, config: net.ModelConfig):
-    """Normalize meshes and cache their parameter-independent inputs."""
+    """Normalize meshes and cache their parameter-independent inputs. A
+    ``MeshError`` names the mesh (``Mesh.name``, its path when loaded)."""
     out = []
     for mesh, label in samples:
-        m = normalize_mesh(mesh)
-        out.append((m, label, net.precompute_static(m, config)))
+        try:
+            m = normalize_mesh(mesh)
+            out.append((m, label, net.precompute_static(m, config)))
+        except MeshError as e:
+            if mesh.name is None:
+                raise
+            raise MeshError(f"{mesh.name}: {e}") from e
     return out
 
 

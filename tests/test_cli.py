@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import meshlearn.network as net
 from meshlearn import cli, pooling, training
 from meshlearn.checkpoint import save_checkpoint
-from meshlearn.core import load_mesh, save_off
+from meshlearn.core import Mesh, load_mesh, save_off
 from meshlearn.data import (SyntheticSpec, generate_synthetic, icosphere,
                             torus, write_dataset)
 
@@ -169,7 +169,6 @@ def test_pool_out_of_passes_prints_stalled(tmp_path, capsys, monkeypatch):
 
 def test_pool_invalid_input_exit_2(tmp_path, capsys):
     # three faces sharing edge (0, 1): non-manifold, fails validation
-    from meshlearn.core import Mesh
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]])
     faces = np.array([[0, 1, 2], [0, 3, 1], [1, 0, 4]])
     src = str(tmp_path / "fan.off")
@@ -562,6 +561,25 @@ def test_train_num_classes_below_dataset_exit_2(tmp_path, capsys):
     assert run(["train", "--data", root, "--per-class-train", "2", "--config", cfg,
                 "--out", out]) == 2
     assert "num_classes = 2 but the data has 3 classes" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_train_non_manifold_mesh_named_exit_2(tmp_path, capsys):
+    # a fin face on one edge of one training mesh: it loads, and its
+    # adjacency fails; the error names its file and --out is never made
+    _, root = _synthetic_root(tmp_path, per_class=3)
+    cls = sorted(os.listdir(root))[1]
+    split = os.path.join(root, cls, "train")
+    path = os.path.join(split, sorted(os.listdir(split))[0])
+    mesh = load_mesh(path)
+    a, b, _ = mesh.faces[0]
+    save_off(Mesh(np.vstack([mesh.vertices, [[2.0, 2, 2]]]),
+                  np.vstack([mesh.faces, [[a, b, mesh.num_vertices]]])), path)
+    out = str(tmp_path / "run")
+    assert run(["train", "--data", root, "--per-class-train", "2",
+                "--config", _write_config(tmp_path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: non-manifold edge ") and "3 incident faces" in err
     assert not os.path.exists(out)
 
 

@@ -1,6 +1,7 @@
 """Face-collapse pooling: weights, planning, application, backward."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -304,13 +305,17 @@ def test_commit_wakes_nothing_while_no_face_is_deferred():
 
 # sha256 of repr(per-pass plan.regions) of pool_to_target to F/4 with
 # _desc_features, as the planner gave before commit skipped its wake set
+# the torus is a pool-large input: its second pass defers faces and
+# retries 129 of them
 POOL_REGIONS_SHA256 = {
     "icosphere4": "52723d382f3360705cb0c17855e9fe2026e8704c47b840cec23cdf49b847a1f5",
     "box12": "113c42031d22e8c2bbfebd0de06124eb0fbc691cf7dcbb8d59ea910a42bb3276",
+    "torus92x55": "2e3ae13edafb11b435267fec2298f8401e73eb38fb2b324919ca7125d92ae349",
 }
 
 
-@pytest.mark.parametrize("name,mesh", [("icosphere4", icosphere(4)), ("box12", box(12))])
+@pytest.mark.parametrize("name,mesh", [("icosphere4", icosphere(4)), ("box12", box(12)),
+                                       ("torus92x55", torus(92, 55))])
 def test_pool_to_target_regions_pinned(monkeypatch, name, mesh):
     regions = []
     plan = pooling.plan_pass
@@ -322,9 +327,29 @@ def test_pool_to_target_regions_pinned(monkeypatch, name, mesh):
 
     monkeypatch.setattr(pooling, "plan_pass", recording)
     adj, feats = _desc_features(mesh)
-    out = pool_to_target(mesh, adj, feats, mesh.num_faces // 4)
-    assert out.mesh.num_faces == mesh.num_faces // 4 and len(regions) == 2
+    target = mesh.num_faces // 4
+    out = pool_to_target(mesh, adj, feats, target)
+    assert target - 3 <= out.mesh.num_faces <= target and len(regions) == 2
     assert hashlib.sha256(repr(regions).encode()).hexdigest() == POOL_REGIONS_SHA256[name]
+
+
+def test_plan_pass_peak_memory_per_face():
+    # the pass tables point into one shared int per id and are freed
+    # before the remaps are built: about 330 B/face, where fresh ints for
+    # every table entry, kept through the remaps, took 848
+    mesh = icosphere(4)
+    adj, feats = _desc_features(mesh)
+    weights = compute_face_weights(feats, adj)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        plan = plan_pass(mesh, adj, weights, mesh.num_faces // 4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(plan.regions) == 730
+    assert peak / mesh.num_faces < 450
 
 
 @pytest.mark.parametrize("mesh", [flip_edges(icosphere(1), np.random.default_rng(1), 30),
