@@ -200,17 +200,15 @@ class _PassState:
     of them.
 
     Everything is held in Python lists, which index far faster one element
-    at a time than NumPy rows. Built once per pass: ``ids``, one int
-    object per face id, vertex id, merge token and walk position, with
-    NONE last so that ``ids[NONE]`` is NONE; ``faces`` and ``neighbors``,
-    the input tables as 3-tuples; and ``corners[v]``, which lists ``h,
-    next, prev`` for each face h at vertex v in ascending face order.
-    Every entry of every table is an object of ``ids``, mapped through a
-    memoryview of the NumPy array with no list of fresh ints in between,
-    so a pass holds one int per id, not one per entry: the tables take
-    about 330 bytes per face on icosphere(4), against 850 with a fresh int
-    per entry. A row is a tuple, read with one index, because slicing a
-    flat list on every read made ``plan_pass`` about 10% slower.
+    at a time than NumPy rows. Built once per pass: ``ids``, one int per
+    face, vertex, merge token and walk position, with NONE last so that
+    ``ids[NONE]`` is NONE; ``faces`` and ``neighbors``, the input tables
+    as 3-tuples; and ``corners[v]``, which lists ``h, next, prev`` for
+    each face h at vertex v in ascending face order. Every table entry is
+    an object of ``ids``, read through a memoryview with no list of fresh
+    ints in between: about 330 bytes per face on icosphere(4), against 850
+    with one int per entry. Rows are tuples, since slicing a flat list on
+    every read made ``plan_pass`` about 10% slower.
     """
 
     def __init__(self, mesh: Mesh, adj: AdjacencyMatrix):

@@ -568,8 +568,7 @@ def test_train_non_manifold_mesh_named_exit_2(tmp_path, capsys):
     # a fin face on one edge of one training mesh: it loads, and its
     # adjacency fails; the error names its file and --out is never made
     _, root = _synthetic_root(tmp_path, per_class=3)
-    cls = sorted(os.listdir(root))[1]
-    split = os.path.join(root, cls, "train")
+    split = os.path.join(root, "torus", "train")
     path = os.path.join(split, sorted(os.listdir(split))[0])
     mesh = load_mesh(path)
     a, b, _ = mesh.faces[0]
