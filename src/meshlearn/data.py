@@ -129,32 +129,43 @@ def octahedron() -> Mesh:
     return Mesh(v, f)
 
 
+def _weld(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct ``keys`` 0, 1, ... in order of first occurrence.
+
+    Returns ``(ids, first)``: ``ids[i]`` is the number of ``keys[i]``, and
+    ``first[n]`` the position where number ``n`` first occurs. This is the
+    numbering a dict filled in one pass over ``keys`` would give."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 def subdivide(mesh: Mesh, project_to_sphere: bool = False) -> Mesh:
-    """Split every triangle into four by edge midpoints."""
-    verts = [tuple(v) for v in mesh.vertices]
-    cache: dict[tuple[int, int], int] = {}
-
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            m = (np.array(verts[a]) + np.array(verts[b])) / 2.0
-            if project_to_sphere:
-                m = m / np.linalg.norm(m)
-            cache[key] = len(verts)
-            verts.append(tuple(m))
-        return cache[key]
-
-    faces = []
-    for a, b, c in mesh.faces:
-        a, b, c = int(a), int(b), int(c)
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-    return Mesh(np.array(verts), np.array(faces, dtype=np.int64))
+    """Split every triangle (a, b, c) into four by edge midpoints. The
+    midpoints are welded: each edge gets one new vertex, numbered after the
+    old ones in the order the faces' edges ab, bc, ca first reach it."""
+    f = mesh.faces
+    ends = np.stack([f, np.roll(f, -1, axis=1)], axis=-1).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    ids, first = _weld(lo * mesh.num_vertices + hi)
+    m = (mesh.vertices[lo[first]] + mesh.vertices[hi[first]]) / 2.0
+    if project_to_sphere:   # the scalar sqrt(m @ m) of each row, as np.linalg.norm
+        m = m / np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
+    a, b, c = f.T
+    ab, bc, ca = ids.reshape(-1, 3).T + mesh.num_vertices
+    faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return Mesh(np.concatenate([mesh.vertices, m]), faces.reshape(-1, 3))
 
 
 def icosphere(subdivisions: int, base: str = "icosahedron") -> Mesh:
     """Sphere by repeated subdivision of an icosahedron (20*4^n faces) or
     octahedron (8*4^n faces), projected onto the unit sphere."""
+    if base not in ("icosahedron", "octahedron"):
+        raise ValueError(f"icosphere base must be 'icosahedron' or 'octahedron', not {base!r}")
+    if subdivisions < 0:
+        raise ValueError(f"icosphere subdivisions must be >= 0, not {subdivisions}")
     mesh = icosahedron() if base == "icosahedron" else octahedron()
     for _ in range(subdivisions):
         mesh = subdivide(mesh, project_to_sphere=True)
@@ -163,58 +174,43 @@ def icosphere(subdivisions: int, base: str = "icosahedron") -> Mesh:
 
 def box(segments: int) -> Mesh:
     """Axis-aligned cube [-1, 1]^3 with ``segments`` divisions per side;
-    12 * segments^2 triangles, welded along the edges."""
+    12 * segments^2 triangles. Grid points are welded along the edges,
+    numbered in order of first use: side by side, quad by quad, corner by
+    corner."""
     n = segments
-    verts: list[np.ndarray] = []
-    index: dict[tuple[int, int, int], int] = {}
-
-    def vid(i: int, j: int, k: int) -> int:
-        key = (i, j, k)
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(np.array([i, j, k], dtype=np.float64) * (2.0 / n) - 1.0)
-        return index[key]
-
-    faces = []
-    # each side: u, v span the face, w fixed at 0 or n; flip controls winding
-    sides = [
-        (lambda u, v: (u, v, 0), True), (lambda u, v: (u, v, n), False),
-        (lambda u, v: (u, 0, v), False), (lambda u, v: (u, n, v), True),
-        (lambda u, v: (0, u, v), True), (lambda u, v: (n, u, v), False),
-    ]
-    for place, flip in sides:
-        for u in range(n):
-            for v in range(n):
-                q = [vid(*place(u, v)), vid(*place(u + 1, v)),
-                     vid(*place(u + 1, v + 1)), vid(*place(u, v + 1))]
-                t1, t2 = [q[0], q[1], q[2]], [q[0], q[2], q[3]]
-                if flip:
-                    t1, t2 = t1[::-1], t2[::-1]
-                faces += [t1, t2]
-    return Mesh(np.array(verts), np.array(faces, dtype=np.int64))
+    if n < 1:
+        raise ValueError(f"box segments must be >= 1, not {n}")
+    # corners (u, v), (u+1, v), (u+1, v+1), (u, v+1) of every quad
+    u, v = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    u, v = u[..., None] + [0, 1, 1, 0], v[..., None] + [0, 0, 1, 1]
+    w0, wn = np.zeros_like(u), np.full_like(u, n)
+    # each side: u, v span it, the third axis fixed at 0 or n
+    points = np.stack([np.stack(p, axis=-1) for p in [
+        (u, v, w0), (u, v, wn), (u, w0, v), (u, wn, v), (w0, u, v), (wn, u, v)]])
+    points = points.reshape(-1, 3)
+    ids, first = _weld(np.ravel_multi_index(points.T, (n + 1,) * 3))
+    # two triangles per quad, reversed on the sides that face the other way
+    tri = np.array([[2, 1, 0, 3, 2, 0], [0, 1, 2, 0, 2, 3]])[[0, 1, 1, 0, 0, 1]]
+    faces = np.take_along_axis(ids.reshape(6, -1, 4), tri[:, None, :], axis=2)
+    return Mesh(points[first] * (2.0 / n) - 1.0, faces.reshape(-1, 3))
 
 
-def torus(major_segments: int, minor_segments: int,
-          major_radius: float = 1.0, minor_radius: float = 0.4) -> Mesh:
-    """Closed torus grid with 2 * major * minor triangles."""
+def torus(major_segments: int, minor_segments: int) -> Mesh:
+    """Closed torus grid with 2 * major * minor triangles, major radius 1
+    and minor radius 0.4."""
     nu, nv = major_segments, minor_segments
     if nu < 3 or nv < 3:
         raise ValueError("torus needs at least 3 segments per direction")
     u = 2 * np.pi * np.arange(nu) / nu
     v = 2 * np.pi * np.arange(nv) / nv
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    ring = major_radius + minor_radius * np.cos(vv)
+    ring = 1.0 + 0.4 * np.cos(vv)
     verts = np.stack([ring * np.cos(uu), ring * np.sin(uu),
-                      minor_radius * np.sin(vv)], axis=-1).reshape(-1, 3)
-    faces = []
-    for i in range(nu):
-        for j in range(nv):
-            a = i * nv + j
-            b = ((i + 1) % nu) * nv + j
-            c = ((i + 1) % nu) * nv + (j + 1) % nv
-            d = i * nv + (j + 1) % nv
-            faces += [[a, b, c], [a, c, d]]
-    return Mesh(verts, np.array(faces, dtype=np.int64))
+                      0.4 * np.sin(vv)], axis=-1).reshape(-1, 3)
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    i1, j1 = (i + 1) % nu, (j + 1) % nv
+    a, b, c, d = i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1
+    return Mesh(verts, np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3))
 
 
 GENERATORS = ("icosphere", "box", "torus")
@@ -292,9 +288,11 @@ class SyntheticSpec:
             raise ValueError(f"face band upper bound {hi} exceeds {MAX_SYNTHETIC_FACES}")
         if not self.classes:
             raise ValueError("no synthetic classes")
-        for c in self.classes:
+        for i, c in enumerate(self.classes):
             if c not in GENERATORS:
                 raise ValueError(f"unknown synthetic class {c!r}")
+            if c in self.classes[:i]:
+                raise ValueError(f"synthetic class {c!r} is listed twice")
             if not _resolution_options(c, lo, hi):
                 raise ValueError(f"face band [{lo}, {hi}] unreachable for class {c!r}")
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -48,21 +47,12 @@ class Provenance(CSR):
         """Pooled features: per new face, the mean of its rows of ``x``."""
         return self.segment_sum(x) / np.diff(self.indptr)[:, None]
 
-    @cached_property
-    def transposed(self) -> CSR:
-        """Row i: the new faces holding old face i, ascending, for every old
-        face up to the highest one held."""
-        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-        return CSR.from_pairs(self.indices, rows, int(self.indices.max(initial=-1)) + 1)
-
     def mean_adjoint(self, grad: np.ndarray, num_old: int) -> np.ndarray:
         """Adjoint of ``mean``: old face i sums grad[j] / len(row j) over the
-        rows j holding it, in ascending j (the transposed CSR's order)."""
-        t = self.transposed
-        out = t.segment_sum(grad / np.diff(self.indptr)[:, None])
-        if len(t) < num_old:   # the highest old faces are held by no new face
-            out = np.concatenate([out, np.zeros((num_old - len(t),) + grad.shape[1:])])
-        return out
+        rows j holding it, in ascending j, and is +0.0 if no row holds it."""
+        counts = np.diff(self.indptr)
+        rows = np.repeat(np.arange(len(self)), counts)
+        return CSR.from_pairs(self.indices, rows, num_old).segment_sum(grad / counts[:, None])
 
 
 @dataclass

@@ -256,6 +256,8 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("num_classes = 2", "num_classes = 2 but the data has 3 classes"),
     ("synthetic.face_band = 80 81", "face band [80, 81] unreachable for class 'box'"),
     ("synthetic.classes = ,", "no synthetic classes"),
+    # two classes of the same meshes used to train with exit 0
+    ("synthetic.classes = box, box", "synthetic class 'box' is listed twice"),
     # beyond SeedSequence.spawn's range, and a band of ~3e8 box resolutions
     ("synthetic.samples_per_class = 99999999999999999999999",
      "3 classes x 99999999999999999999999 samples exceeds 1000000 synthetic samples"),
@@ -279,6 +281,7 @@ def test_train_malformed_config_line(tmp_path, capsys):
         "learning_rate_1e999", "jitter_nan", "jitter_1e999", "synthetic_seed_negative",
         "train_seed_negative", "model_seed_negative", "t_schedule_below_4",
         "num_classes_below_data", "face_band_unreachable", "no_synthetic_classes",
+        "repeated_synthetic_class",
         "samples_per_class_huge", "face_band_huge", "momentum", "weight_decay", "rigid",
         "block_channels_over_budget", "k_geo_over_budget", "repeated_key",
         "repeated_key_unspaced"])

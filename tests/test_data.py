@@ -110,6 +110,84 @@ def test_make_splits_insufficient():
 
 
 # ---------------------------------------------------------------------------
+# procedural generators
+
+
+# sha256 of vertices.tobytes() + faces.tobytes(), taken from the per-face
+# dict-welding generators these replaced
+GENERATOR_DIGESTS = {
+    ("icosphere", 0, "icosahedron"):
+        "62a389080cafe9289068accf6b5ca4118593146762b89d348ff57731cbf87cab",
+    ("icosphere", 1, "icosahedron"):
+        "718b73e366986e9b1a079fbe0caff0055a2e62e49ce04a2d5bacd2f39e2d0c7f",
+    ("icosphere", 2, "icosahedron"):
+        "1f10c16a1d3159c2b939f27540aba38a028a837c7689fb29262eb7d61f27eb11",
+    ("icosphere", 3, "icosahedron"):
+        "2e4e365e51229fd1a117d46a112a674c83aa992e7e5112bb51cb9a07c8d124be",
+    ("icosphere", 4, "icosahedron"):
+        "9367a9ed298b4a80ec68796a7f6797ac9a801f70bd7f398168605ea6c1b5bbb1",
+    ("icosphere", 5, "icosahedron"):
+        "d21bdcb1e9d8f4573bec931b14f3102fbc8c89195f8dc746d2595e042684d2b2",
+    ("icosphere", 0, "octahedron"):
+        "86a368c4630861686a452a52cf8683262254db1a465c29b58d3c787c8d339e00",
+    ("icosphere", 1, "octahedron"):
+        "501ea0afdd26f9e216f19f013b51f301cf114aaea042825742c00da9a6154e14",
+    ("icosphere", 2, "octahedron"):
+        "e96d724042a914c1dda0512b4617e5bc0a7d3276313761b532020b17d83e447d",
+    ("icosphere", 3, "octahedron"):
+        "665557715f88ace2e7239c9c85274de47d3e6161f344a210e53bb51dc8473658",
+    ("icosphere", 4, "octahedron"):
+        "f29c4f46ac7942941efbbd3a3852bb40922d69f7ade0923e8cea317bc3bc1a4a",
+    ("icosphere", 5, "octahedron"):
+        "deb582f67ecfe73f41f1a70a745ccb83a2d111918d038802d4d95554937ad846",
+    ("subdivide",):
+        "1f1500be795538a4b2b958c1de19e81446fb5e65115ffda8292c86a8a453de93",
+    ("box", 1):
+        "f2054773cc675969d4430d30482dc49e7dba89d4fa5713b8e29f139d346ca973",
+    ("box", 2):
+        "a3a7513de016a211199e5580ae2b75f604d339d87d96f63a9d2f4e2b5377ad7e",
+    ("box", 6):
+        "0d3a20a842beed3da362c2de96fd640b4eef959a2ddc86cbb837fed8d703d6f0",
+    ("box", 29):
+        "2ae4a4489879a9cb864d65126fd50f16576228dd00da19a1dd9098c5f7a44505",
+    ("torus", 3, 3):
+        "5376688b6fa69d909a727ec090405103271de5314770ae1eae02c7a2010260d2",
+    ("torus", 57, 4):
+        "de9d8763ae6a541688c525329379db015c0be13533dba887fc803b349bc66cc6",
+    ("torus", 92, 55):
+        "cf5d8c616c1a9cdf266d4b8e1d89aad968150cb825856b29fad74f9bddf2f5c2",
+}
+
+
+@pytest.mark.parametrize("option", sorted(GENERATOR_DIGESTS, key=str), ids=str)
+def test_generator_bytes_pinned(option):
+    mesh = (data.subdivide(data.icosahedron()) if option[0] == "subdivide"
+            else data._build(option))
+    digest = hashlib.sha256(mesh.vertices.tobytes() + mesh.faces.tobytes()).hexdigest()
+    assert digest == GENERATOR_DIGESTS[option]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: data.icosphere(1, base="cube"), "icosphere base must be 'icosahedron' or "
+                                             "'octahedron', not 'cube'"),
+    (lambda: data.icosphere(-1), "icosphere subdivisions must be >= 0, not -1"),
+    (lambda: data.box(0), "box segments must be >= 1, not 0"),
+    (lambda: data.box(-2), "box segments must be >= 1, not -2"),
+    (lambda: data.torus(2, 5), "torus needs at least 3 segments"),
+], ids=["icosphere_base", "icosphere_negative", "box_zero", "box_negative", "torus_two"])
+def test_generator_rejects_bad_argument(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)
+
+
+def test_weld_numbers_keys_in_order_of_first_occurrence():
+    ids, first = data._weld(np.array([7, 3, 7, 9, 3, 1]))
+    assert ids.tolist() == [0, 1, 0, 2, 1, 3]
+    assert first.tolist() == [0, 1, 3, 5]
+
+
+# ---------------------------------------------------------------------------
 # synthetic generation
 
 
@@ -155,6 +233,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(classes=("pyramid",))
     with pytest.raises(ValueError, match="no synthetic classes"):
         SyntheticSpec(classes=())
+    with pytest.raises(ValueError, match="synthetic class 'box' is listed twice"):
+        SyntheticSpec(classes=("box", "torus", "box"))
     # checked on the spec, before generate_synthetic is reached
     with pytest.raises(ValueError, match=r"face band \[80, 81\] unreachable for class 'box'"):
         SyntheticSpec(face_band=(80, 81))

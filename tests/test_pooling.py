@@ -844,16 +844,14 @@ def test_backward_provenance_mismatch(rng):
 
 
 def test_backward_pads_old_faces_held_by_no_row():
-    """The highest old faces feed no new face, so the transposed provenance
-    is shorter than the old face count and the adjoint pads it with zeros:
-    byte for byte the scalar adjoint, -0.0 entries included."""
+    """The highest old faces feed no new face, so their rows of the adjoint
+    are +0.0: byte for byte the scalar adjoint, -0.0 entries included."""
     rng = np.random.default_rng(8)
     # rows of 1-5 of old faces 0-31, some shared; faces 32-39 are in none
     rows = [np.sort(rng.choice(32, size=rng.integers(1, 6), replace=False))
             for _ in range(10)]
     prov = Provenance(np.concatenate([[0], np.cumsum([len(r) for r in rows])]),
                       np.concatenate(rows))
-    assert len(prov.transposed) <= 32
     grad = rng.normal(size=(10, 6))
     grad[rng.random(grad.shape) < 0.3] = -0.0
     g = prov.mean_adjoint(grad, 40)
