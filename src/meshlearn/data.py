@@ -6,6 +6,9 @@ from the dataset seed, so results are independent of generation order.
 Every sample is posed by a random rigid transform, whose uniform rotation
 comes from a normalized Gaussian quaternion; vertex jitter is uniform per
 component, scaled by the mesh bounding radius.
+
+The generators build whole arrays, with no per-face Python loop;
+``subdivide`` and ``box`` weld shared vertices with ``_weld``.
 """
 
 from __future__ import annotations
@@ -136,10 +139,8 @@ def _weld(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``first[n]`` the position where number ``n`` first occurs. This is the
     numbering a dict filled in one pass over ``keys`` would give."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
+    rank = np.argsort(np.argsort(first))   # the first indices are distinct
+    return rank[inverse], np.sort(first)
 
 
 def subdivide(mesh: Mesh, project_to_sphere: bool = False) -> Mesh:
@@ -186,8 +187,7 @@ def box(segments: int) -> Mesh:
     w0, wn = np.zeros_like(u), np.full_like(u, n)
     # each side: u, v span it, the third axis fixed at 0 or n
     points = np.stack([np.stack(p, axis=-1) for p in [
-        (u, v, w0), (u, v, wn), (u, w0, v), (u, wn, v), (w0, u, v), (wn, u, v)]])
-    points = points.reshape(-1, 3)
+        (u, v, w0), (u, v, wn), (u, w0, v), (u, wn, v), (w0, u, v), (wn, u, v)]]).reshape(-1, 3)
     ids, first = _weld(np.ravel_multi_index(points.T, (n + 1,) * 3))
     # two triangles per quad, reversed on the sides that face the other way
     tri = np.array([[2, 1, 0, 3, 2, 0], [0, 1, 2, 0, 2, 3]])[[0, 1, 1, 0, 0, 1]]

@@ -113,8 +113,8 @@ def test_make_splits_insufficient():
 # procedural generators
 
 
-# sha256 of vertices.tobytes() + faces.tobytes(), taken from the per-face
-# dict-welding generators these replaced
+# sha256 of vertices.tobytes() + faces.tobytes(): these bytes fix every
+# synthetic dataset, the benchmark inputs and the seeded training digests
 GENERATOR_DIGESTS = {
     ("icosphere", 0, "icosahedron"):
         "62a389080cafe9289068accf6b5ca4118593146762b89d348ff57731cbf87cab",
@@ -159,7 +159,7 @@ GENERATOR_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("option", sorted(GENERATOR_DIGESTS, key=str), ids=str)
+@pytest.mark.parametrize("option", GENERATOR_DIGESTS, ids=str)
 def test_generator_bytes_pinned(option):
     mesh = (data.subdivide(data.icosahedron()) if option[0] == "subdivide"
             else data._build(option))
@@ -179,12 +179,6 @@ def test_generator_rejects_bad_argument(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert message in str(info.value)
-
-
-def test_weld_numbers_keys_in_order_of_first_occurrence():
-    ids, first = data._weld(np.array([7, 3, 7, 9, 3, 1]))
-    assert ids.tolist() == [0, 1, 0, 2, 1, 3]
-    assert first.tolist() == [0, 1, 3, 5]
 
 
 # ---------------------------------------------------------------------------
