@@ -84,7 +84,7 @@ def _mesh_work(item, params):
     regions = convmod.build_regions(adj, KERNEL_SIZE)
     conv = params.conv_layers[0]
     out, cache = convmod.conv_forward(feats, regions, conv)
-    gf, _ = convmod.conv_backward(feats, regions, conv, np.ones_like(out), cache)
+    gf, _ = convmod.conv_backward(cache, np.ones_like(out), conv)
     t["conv"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -124,7 +124,6 @@ def load_checkpoint(path: str):
 
 # Keys older checkpoints store for retired model variants, at their one value
 RETIRED_KEYS = {"abs_mode": "componentwise", "normalize_regions": False, "head": "linear"}
-_LISTS = ("block_channels", "region_sizes", "t_schedule")
 
 
 def _config_from_json(blob: bytes) -> net.ModelConfig:
@@ -133,27 +132,26 @@ def _config_from_json(blob: bytes) -> net.ModelConfig:
         cfg = json.loads(blob.decode())
     except ValueError as e:
         raise CheckpointError(f"unreadable checkpoint config: {e}") from None
-    fields = {f.name for f in dataclasses.fields(net.ModelConfig)}
+    fields = {f.name: net.field_type(f) for f in dataclasses.fields(net.ModelConfig)}
     keys = set(cfg) if isinstance(cfg, dict) else set()
     for k in keys & RETIRED_KEYS.keys():
         if (value := cfg.pop(k)) != RETIRED_KEYS[k]:
             raise CheckpointError(f"checkpoint config key {k!r} is {value!r}; "
                                   f"only {RETIRED_KEYS[k]!r} is supported")
         keys.remove(k)
-    if keys != fields:
-        raise CheckpointError(f"checkpoint config has unknown keys {sorted(keys - fields)} "
-                              f"and lacks keys {sorted(fields - keys)}")
-    # every field holds an int (not a bool) or a list of them, except the flag
+    if keys != fields.keys():
+        raise CheckpointError(f"checkpoint config has unknown keys {sorted(keys - fields.keys())} "
+                              f"and lacks keys {sorted(fields.keys() - keys)}")
+    # values of each field's type exactly (a bool is no int), in a list for a tuple
     for k, value in cfg.items():
-        kind = bool if k == "use_activation" else int
-        for v in value if k in _LISTS and isinstance(value, list) else [value]:
+        kind, many = fields[k]
+        for v in value if many and isinstance(value, list) else [value]:
             if type(v) is not kind:
                 raise CheckpointError(f"invalid checkpoint config: {type(v).__name__!r} object "
                                       f"cannot be interpreted as {kind.__name__} in {k!r}")
     try:
-        for k in _LISTS:
-            cfg[k] = tuple(cfg[k])
-        return net.ModelConfig(**cfg)
+        return net.ModelConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in cfg.items()})
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid checkpoint config: {e}") from None
 

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 computational failure (failed gradient check,
-pooling stall under --strict, non-finite values), 2 usage or I/O error.
+pooling stall under --strict, non-finite values, a ``MemoryError``), 2
+usage or I/O error.
 Config files are flat ``key=value`` lines with ``#`` comments; unknown
 and repeated keys are rejected.
 """
@@ -31,9 +32,10 @@ from .descriptors import descriptor_forward, init_descriptor_params
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-_MODEL_KEYS = {f.name: f for f in dataclasses.fields(net.ModelConfig)}
-_TRAIN_KEYS = {f.name: f for f in dataclasses.fields(training.TrainConfig)}
-_SYNTH_KEYS = {f.name: f for f in dataclasses.fields(SyntheticSpec)}
+# each config key's section (model, train, synthetic) and dataclass field
+_SECTIONS = ("", net.ModelConfig), ("train.", training.TrainConfig), ("synthetic.", SyntheticSpec)
+_KEYS = {prefix + f.name: (i, f) for i, (prefix, kind) in enumerate(_SECTIONS)
+         for f in dataclasses.fields(kind)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -56,35 +58,24 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(field: dataclasses.Field, raw: str):
-    t = str(field.type)
+    kind, many = net.field_type(field)
+    parse = (lambda word: _BOOL_WORDS[word.lower()]) if kind is bool else kind
     try:
-        if "tuple" in t:
-            parts = tuple(raw.replace(",", " ").split())
-            return tuple(int(p) for p in parts) if "int" in t else parts
-        if "bool" in t:
-            return _BOOL_WORDS[raw.lower()]
-        if "int" in t:
-            return int(raw)
-        if "float" in t:
-            return float(raw)
-        return raw
+        return tuple(map(parse, raw.replace(",", " ").split())) if many else parse(raw)
     except (KeyError, ValueError):
-        raise ValueError(f"config value {field.name} = {raw!r} is not "
-                         f"a {t}") from None
+        raise ValueError(f"config value {field.name} = {raw!r} is not a "
+                         f"{'tuple of ' * many}{kind.__name__}") from None
 
 
 def build_configs(values: dict[str, str]):
-    model_kw, train_kw, synth_kw = {}, {}, {}
+    """The keyword arguments of the model, training and synthetic configs."""
+    kws = ({}, {}, {})
     for key, raw in values.items():
-        if key in _MODEL_KEYS:
-            model_kw[key] = _coerce(_MODEL_KEYS[key], raw)
-        elif key.startswith("train.") and key[6:] in _TRAIN_KEYS:
-            train_kw[key[6:]] = _coerce(_TRAIN_KEYS[key[6:]], raw)
-        elif key.startswith("synthetic.") and key[10:] in _SYNTH_KEYS:
-            synth_kw[key[10:]] = _coerce(_SYNTH_KEYS[key[10:]], raw)
-        else:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    return model_kw, train_kw, synth_kw
+        section, field = _KEYS[key]
+        kws[section][field.name] = _coerce(field, raw)
+    return kws
 
 
 def cmd_info(args) -> int:
@@ -172,20 +163,14 @@ def cmd_train(args) -> int:
     tr, te = _load_train_test(args, synth_kw, model_kw.get("num_classes"))
     if "num_classes" not in model_kw:
         model_config = dataclasses.replace(model_config, num_classes=tr.num_classes)
-    lines = []
-
-    def progress(em):
-        lines.append(em.line())
-        print(em.line())
-
     result = training.train(tr.pairs(), te.pairs(), model_config, train_config,
-                            progress=progress)
+                            progress=lambda em: print(em.line()))
     # made only now, so a run that fails leaves no empty --out behind
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.txt")
     ckpt_path = os.path.join(args.out, "best.ckpt")
     with open(metrics_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(em.line() + "\n" for em in result.metrics))
     ckpt.save_checkpoint(ckpt_path, result.best_params, model_config)
     print(f"best_test_acc={result.best_test_acc:.4f} epoch={result.best_epoch} "
           f"checkpoint={ckpt_path} metrics={metrics_path}")
@@ -324,10 +309,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (NumericalError, MeshError, ckpt.CheckpointError, ValueError,
+    except (NumericalError, MemoryError, MeshError, ckpt.CheckpointError, ValueError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL if isinstance(e, NumericalError) else EXIT_USAGE
+        return EXIT_FAIL if isinstance(e, (NumericalError, MemoryError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

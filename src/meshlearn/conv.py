@@ -172,15 +172,15 @@ def _differences(features: np.ndarray, regions: RegionTable) -> tuple[np.ndarray
 
 
 class ConvCache(dict):
-    """Backward cache of one ``conv_forward``: ``s1``, ``s2``, ``z`` and the
-    int8 ``sign`` (K, F, C) of the neighbour differences. ``diff``, as a
-    face-major (F, K, C) view, is rebuilt on each lookup from the layer
-    input and region table, byte for byte as the forward pass computed it,
-    so the cache never holds the float64 differences."""
+    """Backward cache of one ``conv_forward``: its ``features``, ``regions``
+    and ``activation`` arguments, ``s1``, ``s2``, ``z`` and the int8 ``sign``
+    (K, F, C) of the neighbour differences. ``diff``, a face-major (F, K, C)
+    view, is rebuilt on each lookup from the input and region table, byte
+    for byte as the forward pass made it, so no float64 difference is kept."""
 
-    def __init__(self, features: np.ndarray, regions: RegionTable, **arrays):
+    def __init__(self, features: np.ndarray, regions: RegionTable, activation: bool, **arrays):
         super().__init__(**arrays)
-        self.features, self.regions = features, regions
+        self.features, self.regions, self.activation = features, regions, activation
 
     def __missing__(self, key):
         if key == "diff":
@@ -201,22 +201,22 @@ def conv_forward(features: np.ndarray, regions: RegionTable, params: ConvParams,
     s2 = _slot_sum(np.abs(diff, out=diff))
     z = features @ params.w0.T + s1 @ params.w1.T + s2 @ params.w2.T + params.bias
     out = np.maximum(z, 0.0) if activation else z
-    return out, ConvCache(features, regions, s1=s1, s2=s2, z=z, sign=sign)
+    return out, ConvCache(features, regions, activation, s1=s1, s2=s2, z=z, sign=sign)
 
 
-def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams,
-                  grad_out: np.ndarray, cache: dict, activation: bool = True):
-    """Adjoint of conv_forward, given the cache of its forward pass.
+def conv_backward(cache: ConvCache, grad_out: np.ndarray, params: ConvParams):
+    """Adjoint of conv_forward, given the cache of its forward pass, which
+    holds that pass's input, region table and activation flag.
 
     Returns (grad_features, grad_params). The |x| subgradient at 0 is 0.
     The stored int8 sign of a -0.0 difference is 0, where ``np.sign``
     gives -0.0; that changes no bit, since each term it enters is added to
     or subtracted from a matrix product (``gz @ w0``, ``h1``), never -0.0.
     """
+    features, s1, s2, z = cache.features, cache["s1"], cache["s2"], cache["z"]
     if grad_out.shape != (features.shape[0], params.out_channels):
         raise ValueError("grad_out shape mismatch")
-    s1, s2, z = cache["s1"], cache["s2"], cache["z"]
-    gz = grad_out * (z > 0) if activation else grad_out
+    gz = grad_out * (z > 0) if cache.activation else grad_out
     h1 = gz @ params.w1   # (F, C_in) pull-back of the neighbor sum
     h2 = gz @ params.w2   # pull-back of the abs-diff sum
     sign = cache["sign"]                                   # (K, F, C_in)
@@ -228,7 +228,7 @@ def conv_backward(features: np.ndarray, regions: RegionTable, params: ConvParams
     # per slot h1 - h2 * sign, scattered onto its member (padding skipped)
     np.multiply(h2, sign, out=sign)
     np.subtract(h1, sign, out=sign)
-    regions.scatter.segment_sum(sign.reshape(-1, features.shape[1]),
-                                out=grad_features)
+    cache.regions.scatter.segment_sum(sign.reshape(-1, features.shape[1]),
+                                      out=grad_features)
     return grad_features, ConvParams(gz.T @ features, gz.T @ s1, gz.T @ s2,
                                      gz.sum(axis=0))

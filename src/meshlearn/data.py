@@ -265,6 +265,9 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class SyntheticSpec:
+    """What ``generate_synthetic`` builds. ``jitter`` is at most 1: it scales
+    the mesh's bounding radius into each coordinate's largest displacement."""
+
     classes: tuple[str, ...] = GENERATORS
     samples_per_class: int = 10
     face_band: tuple[int, int] = (420, 560)
@@ -275,8 +278,8 @@ class SyntheticSpec:
         lo, hi = self.face_band
         if lo > hi:
             raise ValueError("face band lower bound exceeds upper bound")
-        if not (np.isfinite(self.jitter) and self.jitter >= 0):
-            raise ValueError("jitter must be finite and >= 0")
+        if not 0 <= self.jitter <= 1:
+            raise ValueError(f"jitter must be finite and >= 0, and at most 1; got {self.jitter}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.samples_per_class < 1:

@@ -80,8 +80,10 @@ def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix,
     them; pure geometry, no learnable weights involved."""
     v, f = mesh.vertices, mesh.faces
     vf = v[f]
-    pos_dev = vf - geo.face_centroids[:, None, :]
-    vnormal = geo.vertex_normals[f]
+    # each term is summed as soon as it is built, to keep few (F, 3, 3) live
+    terms = np.empty((len(f), 3, 3))
+    terms[:, 0] = _slot_sum(vf - geo.face_centroids[:, None, :])
+    terms[:, 1] = _slot_sum(geo.vertex_normals[f])
 
     # vertex ids are added exactly: with fs a face's id sum and es a
     # shared edge's, fs[nb] - es is the neighbor's free vertex and
@@ -105,8 +107,10 @@ def compute_geodesic_terms(mesh: Mesh, adj: AdjacencyMatrix,
         e[np.take_along_axis(border, slot, axis=1)] = 0.0
         return e
 
-    edge_pair_diff = np.abs(toward(first) - toward(second))
-    return np.stack([_slot_sum(x) for x in (pos_dev, vnormal, edge_pair_diff)], axis=1)
+    edge_pair_diff = toward(first)
+    edge_pair_diff -= toward(second)
+    terms[:, 2] = _slot_sum(np.abs(edge_pair_diff, out=edge_pair_diff))
+    return terms
 
 
 def compute_geometric_terms(mesh: Mesh, adj: AdjacencyMatrix,

@@ -73,6 +73,13 @@ class ModelConfig:
                     and layer == self.convs_per_block - 1)
 
 
+def field_type(f: dataclasses.Field) -> tuple[type, bool]:
+    """The type of a config field's values, read from its default, and
+    whether the field holds a tuple of them (typed by its first item)."""
+    many = isinstance(f.default, tuple)
+    return type(f.default[0] if many else f.default), many
+
+
 @dataclass
 class ModelParams:
     descriptor: desc.DescriptorParams
@@ -249,10 +256,8 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
         grad_feats = poolmod.pooling_backward(bt.pool.passes, grad_feats)
         for l in range(config.convs_per_block - 1, -1, -1):
             layer_idx -= 1
-            cache = bt.conv_caches[l]
             grad_feats, conv_grads[layer_idx] = convmod.conv_backward(
-                cache.features, cache.regions, params.conv_layers[layer_idx],
-                grad_feats, cache, activation=config.layer_activation(b, l))
+                bt.conv_caches[l], grad_feats, params.conv_layers[layer_idx])
     return ModelParams(desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
                                                 params.descriptor, grad_feats),
                        conv_grads, np.outer(grad_logits, tape.gap_output), grad_logits.copy())
@@ -262,15 +267,15 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
 # gradient checking
 
 
-def _kink_signs(tape: Tape, config: ModelConfig) -> list[np.ndarray]:
+def _kink_signs(tape: Tape) -> list[np.ndarray]:
     """Signs of every abs/ReLU argument of a forward pass: the conv
     neighbour differences, as the cache stores them, and the
     pre-activations a ReLU follows."""
     signs = []
-    for b, bt in enumerate(tape.blocks):
-        for l, cache in enumerate(bt.conv_caches):
+    for bt in tape.blocks:
+        for cache in bt.conv_caches:
             signs.append(cache["sign"])
-            if config.layer_activation(b, l):
+            if cache.activation:
                 signs.append(np.sign(cache["z"]))
     return signs
 
@@ -310,7 +315,7 @@ def grad_check(config: ModelConfig, mesh: Mesh, tolerance: float = 1e-3,
         for cp in params.conv_layers:
             cp.w2[:] = 0.0
     logits, tape = model_forward(mesh, params, config)
-    base = _kink_signs(tape, config)
+    base = _kink_signs(tape)
     proj = rng.normal(size=logits.shape[0])
     analytic = model_backward(tape, params, config, proj)
 
@@ -319,7 +324,7 @@ def grad_check(config: ModelConfig, mesh: Mesh, tolerance: float = 1e-3,
         flat[c] = old + h
         lg, probe_tape = model_forward(mesh, params, config, replay=tape)
         flat[c] = old
-        crossed = not linear_only and _crosses_kink(base, _kink_signs(probe_tape, config))
+        crossed = not linear_only and _crosses_kink(base, _kink_signs(probe_tape))
         return float(lg @ proj), crossed
 
     report: dict = {"groups": {}, "step": step}

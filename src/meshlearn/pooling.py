@@ -37,6 +37,8 @@ from .core import (CSR, NONE, AdjacencyMatrix, Mesh, MeshError, NumericalError,
 
 # elements per (channels, faces) slab in compute_face_weights
 _WEIGHT_BLOCK = 2**16
+# passes pool_to_target runs at most before it reports a stall
+MAX_PASSES = 64
 
 
 class Provenance(CSR):
@@ -445,16 +447,16 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
 
 
 def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
-                   target: int, max_passes: int = 64) -> PooledMesh:
+                   target: int) -> PooledMesh:
     """Repeat weight/plan/apply passes until the face count reaches the
     target band [target-3, target]. A result left above the band, because
-    a pass made no progress or ``max_passes`` ran out, is flagged as a
+    a pass made no progress or ``MAX_PASSES`` ran out, is flagged as a
     stall."""
     if target < 4:
         raise ValueError("target face count must be >= 4")
     passes: list[PassRecord] = []
     current = PooledMesh(mesh=mesh, adjacency=adj, features=features)
-    while current.mesh.num_faces > target and len(passes) < max_passes:
+    while current.mesh.num_faces > target and len(passes) < MAX_PASSES:
         weights = compute_face_weights(current.features, current.adjacency)
         plan = plan_pass(current.mesh, current.adjacency, weights, target)
         if not plan.regions:

@@ -1,7 +1,7 @@
 """Command-line interface: outputs, exit codes, config handling."""
 
 import contextlib
-import functools
+import dataclasses
 import io
 import os
 import re
@@ -156,8 +156,7 @@ def test_pool_stall_strict_exit_1(tmp_path, capsys):
 
 
 def test_pool_out_of_passes_prints_stalled(tmp_path, capsys, monkeypatch):
-    one_pass = functools.partial(pooling.pool_to_target, max_passes=1)
-    monkeypatch.setattr(pooling, "pool_to_target", one_pass)
+    monkeypatch.setattr(pooling, "MAX_PASSES", 1)
     src, dst = str(tmp_path / "in.off"), str(tmp_path / "out.off")
     save_off(icosphere(3), src)
     assert run(["pool", src, "--target", "40", "-o", dst]) == 0
@@ -249,6 +248,10 @@ def test_train_malformed_config_line(tmp_path, capsys):
     ("train.learning_rate = 1e999", "learning rate must be finite and >= 0"),
     ("synthetic.jitter = nan", "jitter must be finite and >= 0"),
     ("synthetic.jitter = 1e999", "jitter must be finite and >= 0"),
+    # beyond the mesh's bounding radius: an OverflowError traceback from the
+    # generator, and a zero-area face after an overflow warning
+    ("synthetic.jitter = 1e308", "jitter must be finite and >= 0, and at most 1; got 1e+308"),
+    ("synthetic.jitter = 1e300", "jitter must be finite and >= 0, and at most 1; got 1e+300"),
     ("synthetic.seed = -1", "seed must be >= 0"),
     ("train.seed = -1", "seed must be >= 0"),
     ("seed = -1", "seed must be >= 0"),
@@ -278,7 +281,8 @@ def test_train_malformed_config_line(tmp_path, capsys):
 ], ids=["int_tuple", "bool_word", "head", "abs_mode", "normalize_regions", "region_size",
         "epochs_zero", "epochs_negative", "threads_zero", "optimizer", "samples_per_class",
         "no_test_sample", "face_band", "learning_rate_nan", "learning_rate_inf",
-        "learning_rate_1e999", "jitter_nan", "jitter_1e999", "synthetic_seed_negative",
+        "learning_rate_1e999", "jitter_nan", "jitter_1e999", "jitter_1e308", "jitter_1e300",
+        "synthetic_seed_negative",
         "train_seed_negative", "model_seed_negative", "t_schedule_below_4",
         "num_classes_below_data", "face_band_unreachable", "no_synthetic_classes",
         "repeated_synthetic_class",
@@ -296,6 +300,24 @@ def test_train_malformed_config_value_exit_2(tmp_path, capsys, monkeypatch,
     assert run(["train", "--synthetic", "--config", cfg, "--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def _readme_form(value) -> str:
+    """A config value as the README writes it: ``3 6 9``, ``true``, ``0.001``."""
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@pytest.mark.parametrize("kind", [net.ModelConfig, training.TrainConfig, SyntheticSpec])
+def test_config_defaults_parse_back(kind):
+    """Each field's type is read from its default, so every default, written
+    as a config value, parses back to itself, with the same types."""
+    prefix, index = {net.ModelConfig: ("", 0), training.TrainConfig: ("train.", 1),
+                     SyntheticSpec: ("synthetic.", 2)}[kind]
+    fields = dataclasses.fields(kind)
+    parsed = cli.build_configs({prefix + f.name: _readme_form(f.default) for f in fields})
+    assert repr(parsed[index]) == repr({f.name: f.default for f in fields})
 
 
 def test_train_per_class_train_checked_before_data(tmp_path, capsys, monkeypatch):
@@ -460,6 +482,27 @@ def test_eval_huge_checkpoint_weights_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "not finite" in captured.err
     assert "Traceback" not in captured.err and "overall_acc" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_huge_region_size_exit_1(tmp_path, capsys, command):
+    """A region size no config check can bound without the mesh: the region
+    table's allocation fails before any memory is touched, and the
+    MemoryError ends in one error line and exit 1."""
+    if command == "train":
+        argv = ["train", "--synthetic", "--out", str(tmp_path / "run"), "--config",
+                _write_config(tmp_path, "region_sizes = 3 4 1000000000000\n")]
+    else:
+        config = dataclasses.replace(_small_config(), region_sizes=(3, 4, 10**12))
+        _, root = _synthetic_root(tmp_path, per_class=1)
+        path = str(tmp_path / "huge.ckpt")
+        save_checkpoint(path, net.init_params(config), config)
+        argv = ["eval", path, "--data", root]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not os.path.exists(tmp_path / "run")
 
 
 # ---------------------------------------------------------------------------

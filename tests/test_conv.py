@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshlearn.conv import (ConvParams, RegionTable, build_regions,
+from meshlearn.conv import (ConvCache, ConvParams, RegionTable, build_regions,
                             conv_backward, conv_forward, init_conv_params)
 from meshlearn.core import Mesh, build_adjacency
 from meshlearn.data import box, icosahedron, icosphere, torus
@@ -196,7 +196,7 @@ def test_forward_shape_errors(rng):
 def backward(feats, regions, params, grad_out, activation=True):
     """``conv_backward`` given the cache of a fresh forward pass."""
     _, cache = conv_forward(feats, regions, params, activation=activation)
-    return conv_backward(feats, regions, params, grad_out, cache, activation=activation)
+    return conv_backward(cache, grad_out, params)
 
 
 def test_backward_zero_grad(rng):
@@ -234,7 +234,7 @@ def _fd_check(mesh_builder, seed=7, tol=1e-4, step=1e-5):
     _, cache = conv_forward(feats, regions, params)
     # kink check: keep away from abs/ReLU non-differentiability
     assert np.abs(cache["diff"][regions.valid.T]).min() > 1e-7
-    gf, gp = conv_backward(feats, regions, params, grad_out, cache)
+    gf, gp = conv_backward(cache, grad_out, params)
 
     def loss(fe, pa):
         return float(np.sum(grad_out * conv_forward(fe, regions, pa)[0]))
@@ -265,7 +265,7 @@ def test_backward_grad_shape_mismatch(rng):
     feats = rng.normal(size=(4, 3))
     _, cache = conv_forward(feats, regions, params)
     with pytest.raises(ValueError, match="grad_out"):
-        conv_backward(feats, regions, params, np.zeros((4, 3)), cache)
+        conv_backward(cache, np.zeros((4, 3)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,13 @@ def _signed_zeros(x, rng):
     return x
 
 
+class StoredOnly(ConvCache):
+    """The stored arrays of a cache alone: a "diff" lookup raises."""
+
+    def __missing__(self, key):
+        raise KeyError(key)
+
+
 @pytest.mark.parametrize("activation", [False, True])
 def test_conv_matches_oracle_bytes(activation):
     rng = np.random.default_rng(11)
@@ -312,9 +319,8 @@ def test_conv_matches_oracle_bytes(activation):
             out, cache = conv_forward(feats, regions, params, activation=activation)
             ref_out, ref_cache = oracle_conv_forward(
                 feats, regions, params, activation=activation)
-            # the stored arrays alone, where a "diff" lookup raises
-            gf, gp = conv_backward(feats, regions, params, grad_out, dict(cache),
-                                   activation=activation)
+            gf, gp = conv_backward(StoredOnly(cache.features, cache.regions,
+                                              cache.activation, **cache), grad_out, params)
             ref_gf, ref_gp = oracle_conv_backward(
                 feats, regions, params, grad_out, activation=activation)
             assert out.tobytes() == ref_out.tobytes()

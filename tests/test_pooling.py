@@ -623,11 +623,11 @@ def test_stall_two_tetrahedra():
     assert out.mesh.num_faces == 8
 
 
-def test_pool_to_target_out_of_passes_is_stall():
+def test_pool_to_target_out_of_passes_is_stall(monkeypatch):
+    monkeypatch.setattr(pooling, "MAX_PASSES", 1)
     mesh = icosphere(3)
     adj = build_adjacency(mesh)
-    out = pool_to_target(mesh, adj, np.zeros((mesh.num_faces, 1)), 40,
-                         max_passes=1)
+    out = pool_to_target(mesh, adj, np.zeros((mesh.num_faces, 1)), 40)
     assert out.pass_count == 1
     assert out.mesh.num_faces == 572
     assert out.stalled
