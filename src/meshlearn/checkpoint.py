@@ -142,7 +142,7 @@ def _config_from_json(blob: bytes) -> net.ModelConfig:
     if keys != fields.keys():
         raise CheckpointError(f"checkpoint config has unknown keys {sorted(keys - fields.keys())} "
                               f"and lacks keys {sorted(fields.keys() - keys)}")
-    # values of each field's type exactly (a bool is no int), in a list for a tuple
+    # each value has its field's type (a bool is not an int), a tuple field a list
     for k, value in cfg.items():
         kind, many = fields[k]
         for v in value if many and isinstance(value, list) else [value]:
