@@ -78,6 +78,19 @@ def build_configs(values: dict[str, str]):
     return kws
 
 
+def _check_writable(path: str, make_dirs: bool = False) -> None:
+    """Raise ``OSError`` now if writing ``path`` after the work would fail,
+    creating nothing: a file needs a writable directory to hold it, and a
+    directory for ``os.makedirs`` a writable nearest existing ancestor."""
+    here = path if make_dirs else os.path.dirname(path) or "."
+    while make_dirs and not os.path.lexists(here):
+        here = os.path.dirname(here) or "."
+    if not make_dirs and os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path!r}: it is a directory")
+    if not (os.path.isdir(here) and os.access(here, os.W_OK | os.X_OK)):
+        raise NotADirectoryError(f"cannot write {path!r}: {here!r} is not a writable directory")
+
+
 def cmd_info(args) -> int:
     mesh = load_mesh(args.mesh)
     report = validate_mesh(mesh)
@@ -91,6 +104,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_pool(args) -> int:
+    _check_writable(args.output)
     mesh = load_mesh(args.mesh)
     report = validate_mesh(mesh)
     if not report.ok:
@@ -157,9 +171,10 @@ def _load_train_test(args, synth_kw, num_classes):
 def cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
     model_kw, train_kw, synth_kw = build_configs(values)
-    # both configs are checked before any data is generated or loaded
+    # both configs and --out are checked before any data is generated or loaded
     model_config = net.ModelConfig(**model_kw)
     train_config = training.TrainConfig(**train_kw)
+    _check_writable(args.out, make_dirs=True)
     tr, te = _load_train_test(args, synth_kw, model_kw.get("num_classes"))
     if "num_classes" not in model_kw:
         model_config = dataclasses.replace(model_config, num_classes=tr.num_classes)
@@ -197,6 +212,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.report:
+        _check_writable(args.report)
     report = benchmod.run_benchmark(
         faces=args.faces, batch_size=args.batch, num_batches=args.passes,
         seed=args.seed)

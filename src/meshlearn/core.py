@@ -161,12 +161,15 @@ class CSR:
 
 @dataclass
 class ValidationReport:
-    manifold: bool
     oriented: bool
     border_edges: int
     degenerate_faces: list[int] = field(default_factory=list)
     invalid_faces: list[int] = field(default_factory=list)
     nonmanifold_edges: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def manifold(self) -> bool:
+        return not self.nonmanifold_edges
 
     @property
     def ok(self) -> bool:
@@ -393,26 +396,16 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
 
     # edges as packed keys u * V + w; key order is (u, w) row order
     u, w = faces.ravel(), np.roll(faces, -1, axis=1).ravel()
-    manifold = True
-    oriented = True
-    nonmanifold: list[tuple[int, int]] = []
-    borders = 0
-    if len(u):
-        uniq, counts = np.unique(np.minimum(u, w) * V + np.maximum(u, w),
-                                 return_counts=True)
-        over = counts > 2
-        if over.any():
-            manifold = False
-            nonmanifold = [(k // V, k % V) for k in uniq[over].tolist()]
-        borders = int((counts == 1).sum())
-        # consistent orientation: no directed edge may repeat
-        dkey = np.sort(u * V + w)
-        oriented = not (dkey[1:] == dkey[:-1]).any()
+    uniq, counts = np.unique(np.minimum(u, w) * V + np.maximum(u, w), return_counts=True)
+    nonmanifold = [(k // V, k % V) for k in uniq[counts > 2].tolist()]
+    # consistent orientation: no directed edge may repeat
+    dkey = np.sort(u * V + w)
+    oriented = not (dkey[1:] == dkey[:-1]).any()
 
     areas = face_areas(mesh.vertices, faces)
     degenerate = kept[areas <= degeneracy_threshold(mesh)].tolist()
-    return ValidationReport(manifold=manifold, oriented=oriented,
-                            border_edges=borders, degenerate_faces=degenerate,
+    return ValidationReport(oriented=oriented, border_edges=int((counts == 1).sum()),
+                            degenerate_faces=degenerate,
                             invalid_faces=np.flatnonzero(bad).tolist(),
                             nonmanifold_edges=nonmanifold)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import os
+from functools import partial
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,38 +219,29 @@ GENERATORS = ("icosphere", "box", "torus")
 MAX_SYNTHETIC_SAMPLES, MAX_SYNTHETIC_FACES = 10**6, 10**7
 
 
-def _resolution_options(cls: str, lo: int, hi: int) -> list[tuple]:
-    opts: list[tuple] = []
+def _resolution_options(cls: str, lo: int, hi: int) -> list[partial]:
+    """The generator calls of class ``cls`` whose face count is in [lo, hi]."""
+    opts: list[partial] = []
     if cls == "icosphere":
-        for base in ("octahedron", "icosahedron"):
-            base_faces = 8 if base == "octahedron" else 20
+        for base, base_faces in (("octahedron", 8), ("icosahedron", 20)):
             for k in range(8):
                 n = base_faces * 4 ** k
                 if lo <= n <= hi:
-                    opts.append(("icosphere", k, base))
+                    opts.append(partial(icosphere, k, base))
     elif cls == "box":
         n = 1
         while 12 * n * n <= hi:
             if 12 * n * n >= lo:
-                opts.append(("box", n))
+                opts.append(partial(box, n))
             n += 1
     elif cls == "torus":
         for nu in range(3, 64):
             for nv in range(3, nu + 1):
                 if lo <= 2 * nu * nv <= hi:
-                    opts.append(("torus", nu, nv))
+                    opts.append(partial(torus, nu, nv))
     else:
         raise ValueError(f"unknown synthetic class {cls!r}")
     return opts
-
-
-def _build(option: tuple) -> Mesh:
-    kind = option[0]
-    if kind == "icosphere":
-        return icosphere(option[1], base=option[2])
-    if kind == "box":
-        return box(option[1])
-    return torus(option[1], option[2])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -317,7 +309,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             child = children[spec.classes.index(cls) * spec.samples_per_class + k]
             sample_seed = int(child.generate_state(1)[0])
             rng = np.random.default_rng(child)
-            mesh = _build(options[cls][int(rng.integers(len(options[cls])))])
+            mesh = options[cls][int(rng.integers(len(options[cls])))]()
             verts = mesh.vertices @ random_rotation(rng).T + rng.uniform(-1, 1, size=3)
             if spec.jitter > 0:
                 radius = float(np.linalg.norm(

@@ -1,8 +1,8 @@
 """Classifier network: descriptor -> 3 x (conv block + pooling) -> global
 average pooling -> linear head, with a hand-written backward pass.
 
-The forward pass records a tape (activations, region tables, pooling
-records) so the backward pass can chain the analytic adjoints of every
+The forward pass records a tape (activations, region tables, pool
+plans) so the backward pass can chain the analytic adjoints of every
 layer. Pool plans are part of the tape; replaying a tape freezes them,
 which is what finite-difference gradient checking needs.
 """
@@ -164,7 +164,6 @@ class BlockTape:
 class Tape:
     static: StaticInputs
     blocks: list[BlockTape] = field(default_factory=list)
-    gap_output: np.ndarray | None = None
 
 
 def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
@@ -205,8 +204,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
                                                 config.t_schedule[b])
             tape.blocks.append(BlockTape(conv_caches=caches, pool=pooled))
             cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
-        tape.gap_output = global_average_pool(feats)
-        logits = params.classifier_w @ tape.gap_output + params.classifier_b
+        logits = params.classifier_w @ global_average_pool(feats) + params.classifier_b
     if not np.isfinite(logits).all():
         raise NumericalError(f"non-finite logits {logits}")
     return logits, tape
@@ -214,8 +212,8 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
 
 def _replay_pool(feats: np.ndarray, recorded: poolmod.PooledMesh) -> poolmod.PooledMesh:
     """Re-run only the feature averaging of a recorded pooling stage."""
-    for rec in recorded.passes:
-        feats = rec.provenance.mean(feats)
+    for plan in recorded.passes:
+        feats = plan.provenance.mean(feats)
     return dataclasses.replace(recorded, features=feats)
 
 
@@ -245,9 +243,8 @@ def cross_entropy_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarra
 def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
                    grad_logits: np.ndarray) -> ModelParams:
     """Full parameter gradient by chaining the layer adjoints in reverse."""
-    grad_gap = params.classifier_w.T @ grad_logits
-    F_last = tape.blocks[-1].pool.features.shape[0]
-    grad_feats = np.tile(grad_gap / F_last, (F_last, 1))
+    last = tape.blocks[-1].pool.features
+    grad_feats = np.tile(params.classifier_w.T @ grad_logits / len(last), (len(last), 1))
 
     conv_grads = [None] * len(params.conv_layers)
     layer_idx = len(params.conv_layers)
@@ -258,9 +255,10 @@ def model_backward(tape: Tape, params: ModelParams, config: ModelConfig,
             layer_idx -= 1
             grad_feats, conv_grads[layer_idx] = convmod.conv_backward(
                 bt.conv_caches[l], grad_feats, params.conv_layers[layer_idx])
+    gap = global_average_pool(last)
     return ModelParams(desc.descriptor_backward(tape.static.geo_terms, tape.static.geom_terms,
                                                 params.descriptor, grad_feats),
-                       conv_grads, np.outer(grad_logits, tape.gap_output), grad_logits.copy())
+                       conv_grads, np.outer(grad_logits, gap), grad_logits.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,9 @@ class PoolPlan:
     vertex_remap: np.ndarray   # (V,) old -> new vertex id
     provenance: Provenance
 
-
-@dataclass
-class PassRecord:
-    """What the backward pass needs from one applied pooling pass."""
-
-    provenance: Provenance
-    old_num_faces: int
+    @property
+    def old_num_faces(self) -> int:
+        return len(self.face_remap)
 
 
 @dataclass
@@ -83,7 +79,7 @@ class PooledMesh:
     mesh: Mesh
     adjacency: AdjacencyMatrix
     features: np.ndarray
-    passes: list[PassRecord] = field(default_factory=list)
+    passes: list[PoolPlan] = field(default_factory=list)
     stalled: bool = False
 
     @property
@@ -342,7 +338,7 @@ def _walk(mesh: Mesh, adj: AdjacencyMatrix, weights: np.ndarray, target: int) ->
     settled = state.settled
     comp, comp_left = state.comp, state.comp_left
     ids = state.ids
-    order = np.lexsort((np.arange(F), weights))
+    order = np.argsort(weights, kind="stable")   # ties by ascending face id
     position = np.empty(F, dtype=np.int64)
     position[order] = np.arange(F)
     order = list(map(ids.__getitem__, memoryview(order)))
@@ -424,10 +420,9 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
     whose sort-based construction costs less than patching ring rows of
     the old table would.
     """
-    F, V = mesh.num_faces, mesh.num_vertices
-    if plan.face_remap.shape[0] != F or plan.vertex_remap.shape[0] != V:
+    if plan.old_num_faces != mesh.num_faces or len(plan.vertex_remap) != mesh.num_vertices:
         raise MeshError("pool plan does not match mesh")
-    if features.shape[0] != F:
+    if features.shape[0] != mesh.num_faces:
         raise MeshError("features do not match mesh")
 
     # surviving vertices keep their coordinates, merged ones get centroids
@@ -440,10 +435,8 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
     new_faces = plan.vertex_remap[mesh.faces[survive_f]]
     new_mesh = Mesh(new_verts, new_faces, name=mesh.name)
 
-    record = PassRecord(provenance=plan.provenance, old_num_faces=F)
     return PooledMesh(mesh=new_mesh, adjacency=build_adjacency(new_mesh),
-                      features=plan.provenance.mean(features),
-                      passes=[record])
+                      features=plan.provenance.mean(features), passes=[plan])
 
 
 def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
@@ -454,7 +447,7 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
     stall."""
     if target < 4:
         raise ValueError("target face count must be >= 4")
-    passes: list[PassRecord] = []
+    passes: list[PoolPlan] = []
     current = PooledMesh(mesh=mesh, adjacency=adj, features=features)
     while current.mesh.num_faces > target and len(passes) < MAX_PASSES:
         weights = compute_face_weights(current.features, current.adjacency)
@@ -466,7 +459,7 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
     return replace(current, passes=passes, stalled=current.mesh.num_faces > target)
 
 
-def pooling_backward(passes: list[PassRecord], grad_out: np.ndarray) -> np.ndarray:
+def pooling_backward(passes: list[PoolPlan], grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of the feature averaging across all recorded passes.
 
     The discrete region selection is treated as constant (like max-pool
@@ -474,8 +467,8 @@ def pooling_backward(passes: list[PassRecord], grad_out: np.ndarray) -> np.ndarr
     face it was averaged into.
     """
     grad = grad_out
-    for rec in reversed(passes):
-        if grad.shape[0] != len(rec.provenance):
+    for plan in reversed(passes):
+        if grad.shape[0] != len(plan.provenance):
             raise ValueError("gradient rows do not match pass provenance")
-        grad = rec.provenance.mean_adjoint(grad, rec.old_num_faces)
+        grad = plan.provenance.mean_adjoint(grad, plan.old_num_faces)
     return grad

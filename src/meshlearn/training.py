@@ -10,7 +10,6 @@ count never changes the result.
 from __future__ import annotations
 
 import copy
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -78,7 +77,6 @@ class EpochMetrics:
     loss: float
     train_acc: float
     test_acc: float
-    seconds: float
     stalls: int = 0
 
     def line(self) -> str:
@@ -92,8 +90,11 @@ class TrainResult:
     params: net.ModelParams
     metrics: list[EpochMetrics]
     best_params: net.ModelParams
-    best_test_acc: float
     best_epoch: int
+
+    @property
+    def best_test_acc(self) -> float:
+        return self.metrics[self.best_epoch].test_acc
 
 
 def prepare(samples, config: net.ModelConfig):
@@ -167,7 +168,6 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
     best_acc, best_epoch = -1.0, -1
     best_params = copy.deepcopy(params)
     for epoch in range(train_config.epochs):
-        t0 = time.perf_counter()
         order = rng.permutation(len(tr))
         losses, hits, stalls = [], [], 0
         for start in range(0, len(order), train_config.batch_size):
@@ -184,8 +184,7 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
         test_acc = (float(np.mean(evaluate(te, params, model_config, train_config.threads)))
                     if te else 0.0)
         em = EpochMetrics(epoch=epoch, loss=float(np.mean(losses)),
-                          train_acc=float(np.mean(hits)), test_acc=test_acc,
-                          seconds=time.perf_counter() - t0, stalls=stalls)
+                          train_acc=float(np.mean(hits)), test_acc=test_acc, stalls=stalls)
         metrics.append(em)
         if progress is not None:
             progress(em)
@@ -195,4 +194,4 @@ def train(train_samples, test_samples, model_config: net.ModelConfig,
         if stop_at_test_acc is not None and test_acc >= stop_at_test_acc:
             break
     return TrainResult(params=params, metrics=metrics, best_params=best_params,
-                       best_test_acc=best_acc, best_epoch=best_epoch)
+                       best_epoch=best_epoch)

@@ -554,6 +554,57 @@ def test_bench_and_gradcheck_sizes_exit_2(tmp_path, capsys, monkeypatch, argv, m
     assert not os.path.exists(tmp_path / "bench.csv")
 
 
+def _tree(root):
+    return sorted((d, sorted(dirs), sorted(files)) for d, dirs, files in os.walk(root))
+
+
+# per case: the command (CONFIG for the tiny-model config) and the error
+UNWRITABLE_OUTPUTS = {
+    "train_out_is_file": ("train --synthetic --config CONFIG --out taken",
+                          "'taken' is not a writable directory"),
+    "train_out_under_file": ("train --synthetic --config CONFIG --out taken/sub",
+                             "'taken' is not a writable directory"),
+    "train_out_under_file_deep": ("train --synthetic --config CONFIG --out taken/a/b",
+                                  "'taken' is not a writable directory"),
+    "pool_output_under_file": ("pool in.off --target 80 -o taken/x.off",
+                               "'taken' is not a writable directory"),
+    "pool_output_no_dir": ("pool in.off --target 80 -o missing/x.off",
+                           "'missing' is not a writable directory"),
+    "pool_output_is_dir": ("pool in.off --target 80 -o run", "'run': it is a directory"),
+    "bench_report_no_dir": ("bench --faces 95 --passes 1 --batch 1 --report missing/x.csv",
+                            "'missing' is not a writable directory"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_output_path_checked_before_work(tmp_path, capsys, monkeypatch, case):
+    """A path that cannot be written exits 2 before any mesh is made,
+    loaded or pooled: nothing is printed and nothing is created."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path)
+    save_off(icosphere(2), "in.off")
+    open("taken", "w").close()
+    os.mkdir("run")
+    command, message = UNWRITABLE_OUTPUTS[case]
+    before = _tree(tmp_path)
+    assert run(command.replace("CONFIG", cfg).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""     # no epoch=, phase= or passes= line: no work done
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert _tree(tmp_path) == before
+
+
+def test_train_out_made_only_after_success(tmp_path, capsys):
+    # a missing --out and its missing parents pass the check, and are made
+    # by a run that succeeds
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "a" / "b" / "run")
+    assert run(["train", "--synthetic", "--config", cfg, "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "metrics.txt"))
+    capsys.readouterr()
+
+
 def test_gradcheck_default_pass(capsys):
     assert run(["gradcheck", "--faces", "40"]) == 0
     out = capsys.readouterr().out

@@ -162,7 +162,7 @@ GENERATOR_DIGESTS = {
 @pytest.mark.parametrize("option", GENERATOR_DIGESTS, ids=str)
 def test_generator_bytes_pinned(option):
     mesh = (data.subdivide(data.icosahedron()) if option[0] == "subdivide"
-            else data._build(option))
+            else getattr(data, option[0])(*option[1:]))
     digest = hashlib.sha256(mesh.vertices.tobytes() + mesh.faces.tobytes()).hexdigest()
     assert digest == GENERATOR_DIGESTS[option]
 

@@ -17,7 +17,7 @@ from meshlearn.data import box, icosahedron, icosphere, octahedron, torus
 from meshlearn.descriptors import (compute_geodesic_terms, compute_geometric_terms,
                                    descriptor_forward, init_descriptor_params)
 from meshlearn.network import _replay_pool
-from meshlearn.pooling import (PassRecord, PooledMesh, PoolPlan, Provenance,
+from meshlearn.pooling import (PooledMesh, PoolPlan, Provenance,
                                apply_pass, compute_face_weights, plan_pass,
                                pool_to_target, pooling_backward,
                                _face_components, _finalize_plan)
@@ -613,6 +613,21 @@ def test_icosphere_320_halving(rng):
     assert validate_mesh(out.mesh).ok
 
 
+def test_pass_record_is_the_plan(rng):
+    """A pooled mesh records each pass by its plan, and the plans chain:
+    each pass starts from the faces the one before it left."""
+    mesh = jitter_mesh(icosphere(3), rng)
+    adj, feats = _desc_features(mesh)
+    plan = plan_pass(mesh, adj, compute_face_weights(feats, adj), mesh.num_faces // 2)
+    assert plan.old_num_faces == mesh.num_faces
+    assert apply_pass(mesh, feats, plan).passes[0] is plan
+    out = pool_to_target(mesh, adj, feats, mesh.num_faces // 8)
+    assert len(out.passes) >= 3
+    sizes = [len(p.provenance) for p in out.passes]
+    assert [p.old_num_faces for p in out.passes] == [mesh.num_faces, *sizes[:-1]]
+    assert sizes[-1] == out.mesh.num_faces
+
+
 def test_stall_two_tetrahedra():
     t1, t2 = tetrahedron(), tetrahedron()
     mesh = Mesh(np.vstack([t1.vertices, t2.vertices + 10.0]),
@@ -830,7 +845,10 @@ def test_backward_zero_for_faces_in_no_row():
     x = np.arange(10.0).reshape(5, 2)
     assert prov.mean(x).tobytes() == _mean_reference(x, prov).tobytes()
     grad = np.array([[1.0, -0.0], [3.0, -2.0]])
-    g = pooling_backward([PassRecord(prov, old_num_faces=5)], grad)
+    # only the provenance and the old face count are read
+    plan = PoolPlan(regions=[], face_remap=np.array([0, -1, -1, 1, -1]),
+                    vertex_remap=np.zeros(0, dtype=np.int64), provenance=prov)
+    g = pooling_backward([plan], grad)
     assert g.tobytes() == _adjoint_reference(grad, prov, 5).tobytes()
     assert g[[1, 4]].tobytes() == np.zeros((2, 2)).tobytes()
 
