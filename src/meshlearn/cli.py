@@ -121,8 +121,8 @@ def cmd_pool(args) -> int:
     pooled = poolmod.pool_to_target(mesh, adj, feats, args.target)
     dt = time.perf_counter() - t0
     save_off(pooled.mesh, args.output)
-    fracs = [(rec.old_num_faces - len(rec.provenance)) / rec.old_num_faces
-             for rec in pooled.passes]
+    fracs = [(plan.old_num_faces - len(plan.provenance)) / plan.old_num_faces
+             for plan in pooled.passes]
     print(f"passes={pooled.pass_count} faces_before={mesh.num_faces} "
           f"faces_after={pooled.mesh.num_faces} "
           f"removal_fractions={','.join('%.3f' % f for f in fracs) or 'none'} "
