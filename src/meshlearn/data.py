@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import os
-from functools import partial
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
