@@ -181,7 +181,7 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         feats = desc.descriptor_forward(static.geo_terms, static.geom_terms, params.descriptor)
         tape = Tape(static=static)
-        cur_mesh, cur_adj = mesh, static.adjacency
+        stage = poolmod.PooledMesh(mesh=mesh, features=feats, _adjacency=static.adjacency)
         layer_idx = 0
         for b in range(config.num_blocks):
             if replay is not None:
@@ -189,8 +189,8 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
             elif b == 0:
                 regions = static.first_regions
             else:
-                regions = convmod.build_regions(cur_adj, config.region_sizes[b])
-            caches = []
+                regions = convmod.build_regions(stage.adjacency, config.region_sizes[b])
+            feats, caches = stage.features, []
             for l in range(config.convs_per_block):
                 feats, cache = convmod.conv_forward(
                     feats, regions, params.conv_layers[layer_idx],
@@ -198,13 +198,12 @@ def model_forward(mesh: Mesh, params: ModelParams, config: ModelConfig,
                 caches.append(cache)
                 layer_idx += 1
             if replay is not None:
-                pooled = _replay_pool(feats, replay.blocks[b].pool)
+                stage = _replay_pool(feats, replay.blocks[b].pool)
             else:
-                pooled = poolmod.pool_to_target(cur_mesh, cur_adj, feats,
-                                                config.t_schedule[b])
-            tape.blocks.append(BlockTape(conv_caches=caches, pool=pooled))
-            cur_mesh, cur_adj, feats = pooled.mesh, pooled.adjacency, pooled.features
-        logits = params.classifier_w @ global_average_pool(feats) + params.classifier_b
+                stage = poolmod.pool_to_target(stage.mesh, stage.adjacency, feats,
+                                               config.t_schedule[b])
+            tape.blocks.append(BlockTape(conv_caches=caches, pool=stage))
+        logits = params.classifier_w @ global_average_pool(stage.features) + params.classifier_b
     if not np.isfinite(logits).all():
         raise NumericalError(f"non-finite logits {logits}")
     return logits, tape

@@ -22,13 +22,13 @@ the ring's half-edges out of the merge point must end at distinct
 vertices, those into it too, and both sets of ends must agree. Removed
 sets are pairwise disjoint and no vertex is merged by two regions, so
 all collapses of a pass commute and can be applied simultaneously in any
-order.
+order. A face at a border vertex never collapses, so the border is kept.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,10 +77,17 @@ class PoolPlan:
 @dataclass
 class PooledMesh:
     mesh: Mesh
-    adjacency: AdjacencyMatrix
     features: np.ndarray
     passes: list[PoolPlan] = field(default_factory=list)
     stalled: bool = False
+    _adjacency: AdjacencyMatrix | None = field(default=None, repr=False)
+
+    @property
+    def adjacency(self) -> AdjacencyMatrix:
+        """Built from ``mesh`` on first read, unless given, and kept."""
+        if self._adjacency is None:
+            self._adjacency = build_adjacency(self.mesh)
+        return self._adjacency
 
     @property
     def pass_count(self) -> int:
@@ -151,6 +158,14 @@ def _face_components(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     return comp, sizes
 
 
+def _border_faces(mesh: Mesh, adj: AdjacencyMatrix) -> np.ndarray:
+    """Whether each face holds a border vertex: an end of an edge whose
+    adjacency slot is NONE."""
+    border = np.zeros(mesh.num_vertices, dtype=bool)
+    border[adj.shared_edges[adj.neighbors == NONE]] = True
+    return border[mesh.faces].any(axis=1)
+
+
 class _PassState:
     """Incrementally maintained simulation of one pooling pass.
 
@@ -175,17 +190,25 @@ class _PassState:
     has one face on each side exactly when the outgoing ends are distinct,
     the incoming ends are distinct, and the two sets are equal.
 
+    The end-set argument needs every center vertex's fan of faces to be
+    closed. At a border vertex the fan is open, and two open fans can each
+    supply the end the other lacks: merging two border vertices then
+    passes the test but pinches a border loop, which changes the border
+    and the Euler characteristic.
+
     ``settled`` marks the faces that can never collapse in this pass: from
-    the start those with a border slot or a repeated neighbor, and from
-    each commit on every neighbor of a removed face and every face at a
-    merged vertex (faces only die and vertices are only merged). The
-    removed faces neighbor each other, so every dead face is settled. The
-    walk skips these and the faces whose component would keep fewer than 4
-    faces, so a face tried is accepted or rejected only for now. Such a
-    face is deferred on the watch list of every vertex of its one-ring
-    faces; a commit wakes the faces watching the vertices of the faces it
-    touched, which are exactly the deferred faces within two vertex hops
-    of them.
+    the start every face that holds a border vertex (``_border_faces``),
+    and from each commit on every neighbor of a removed face and every
+    face at a merged vertex (faces only die and vertices are only merged).
+    A face with a repeated neighbor needs no rule of its own: it shares all
+    three vertices with that neighbor, so the two form a 2-face component.
+    The removed faces neighbor each other, so every dead face is settled.
+    The walk skips these and the faces whose component would keep fewer
+    than 4 faces, so a face tried is accepted or rejected only for now.
+    Such a face is deferred on the watch list of every vertex of its
+    one-ring faces; a commit wakes the faces watching the vertices of the
+    faces it touched, which are exactly the deferred faces within two
+    vertex hops of them.
 
     Everything is held in Python lists, which index far faster one element
     at a time than NumPy rows. Built once per pass: ``ids``, one int per
@@ -202,10 +225,11 @@ class _PassState:
     def __init__(self, mesh: Mesh, adj: AdjacencyMatrix):
         F, V = mesh.num_faces, mesh.num_vertices
         nb = adj.neighbors
-        # first, so that its arrays are freed before the tables exist
+        # first, so that their arrays are freed before the tables exist
         comp, comp_sizes = _face_components(adj)
         self.comp = comp.tolist()
         self.comp_left = comp_sizes.tolist()
+        self.settled = _border_faces(mesh, adj).tolist()
         # faces and positions are below F; vertices and merge tokens below
         # V + F // 4, since each collapse removes 4 faces
         ids = self.ids = [*range(max(F, V + F // 4)), NONE]
@@ -219,8 +243,6 @@ class _PassState:
             corners[b] += h, c, a
             corners[c] += h, a, b
         self.alive = [True] * F
-        self.settled = ((nb == NONE).any(axis=1) | (nb[:, 0] == nb[:, 1])
-                        | (nb[:, 1] == nb[:, 2]) | (nb[:, 2] == nb[:, 0])).tolist()
         self.watch: dict[int, list[int]] = {}   # vertex -> deferred faces
         self.rep = ids[:V]
         self.next_token = V
@@ -416,9 +438,9 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
     """Apply all planned collapses simultaneously; each new face gets the
     provenance mean of the features it absorbs.
 
-    The adjacency of the pooled mesh is built anew by ``build_adjacency``,
-    whose sort-based construction costs less than patching ring rows of
-    the old table would.
+    The pooled mesh's adjacency is built by ``build_adjacency`` on first
+    read, so a network's last stage and a ``meshlearn pool`` output skip
+    it; sorting costs less than patching the old table would.
     """
     if plan.old_num_faces != mesh.num_faces or len(plan.vertex_remap) != mesh.num_vertices:
         raise MeshError("pool plan does not match mesh")
@@ -435,8 +457,7 @@ def apply_pass(mesh: Mesh, features: np.ndarray, plan: PoolPlan) -> PooledMesh:
     new_faces = plan.vertex_remap[mesh.faces[survive_f]]
     new_mesh = Mesh(new_verts, new_faces, name=mesh.name)
 
-    return PooledMesh(mesh=new_mesh, adjacency=build_adjacency(new_mesh),
-                      features=plan.provenance.mean(features), passes=[plan])
+    return PooledMesh(mesh=new_mesh, features=plan.provenance.mean(features), passes=[plan])
 
 
 def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
@@ -444,19 +465,20 @@ def pool_to_target(mesh: Mesh, adj: AdjacencyMatrix, features: np.ndarray,
     """Repeat weight/plan/apply passes until the face count reaches the
     target band [target-3, target]. A result left above the band, because
     a pass made no progress or ``MAX_PASSES`` ran out, is flagged as a
-    stall."""
+    stall. With no pass run, the result's adjacency is ``adj`` itself."""
     if target < 4:
         raise ValueError("target face count must be >= 4")
     passes: list[PoolPlan] = []
-    current = PooledMesh(mesh=mesh, adjacency=adj, features=features)
+    current = PooledMesh(mesh=mesh, features=features, _adjacency=adj)
     while current.mesh.num_faces > target and len(passes) < MAX_PASSES:
         weights = compute_face_weights(current.features, current.adjacency)
         plan = plan_pass(current.mesh, current.adjacency, weights, target)
         if not plan.regions:
             break
         current = apply_pass(current.mesh, current.features, plan)
-        passes.extend(current.passes)
-    return replace(current, passes=passes, stalled=current.mesh.num_faces > target)
+        passes.append(plan)
+    current.passes, current.stalled = passes, current.mesh.num_faces > target
+    return current
 
 
 def pooling_backward(passes: list[PoolPlan], grad_out: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import meshlearn.network as net
+from meshlearn import pooling
 from meshlearn.conv import ConvParams, conv_forward
 from meshlearn.core import (NumericalError, build_adjacency, compute_geometry,
                             normalize_mesh)
@@ -92,17 +93,24 @@ def test_zero_classifier_gives_bias():
     assert np.array_equal(logits, [1.0, -2.0, 3.0])
 
 
-def test_default_model_pooling_schedule_on_500_face_mesh():
+def test_default_model_pooling_schedule_on_500_face_mesh(monkeypatch):
     # octahedron-based icosphere: 8 * 4^3 = 512 faces
     mesh = normalize_mesh(jitter_mesh(icosphere(3, base="octahedron"),
                                       np.random.default_rng(3)))
     assert mesh.num_faces == 512
     config = net.ModelConfig(num_classes=3)
     params = net.init_params(config)
+    built = []
+    monkeypatch.setattr(pooling, "build_adjacency",
+                        lambda m: built.append(m) or build_adjacency(m))
     _, tape = net.model_forward(mesh, params, config)
     counts = [bt.pool.mesh.num_faces for bt in tape.blocks]
     for count, t in zip(counts, config.t_schedule):
         assert t - 3 <= count <= t
+    # a pooled adjacency is built where the next pass or block reads it,
+    # so the last pass's output never is
+    passes = sum(bt.pool.pass_count for bt in tape.blocks)
+    assert passes >= 3 and len(built) == passes - 1
 
 
 def test_first_conv_input_is_descriptor_forward_of_terms():

@@ -272,7 +272,7 @@ def test_plan_matches_oracle_icosphere3_descriptor_weights(monkeypatch):
     mesh = icosphere(3)
     adj, feats = _desc_features(mesh)
     target = mesh.num_faces // 4
-    current = PooledMesh(mesh=mesh, adjacency=adj, features=feats)
+    current = PooledMesh(mesh=mesh, features=feats, _adjacency=adj)
     tries = _count_tries(monkeypatch)
     for _ in range(2):
         tries.clear()
@@ -379,7 +379,9 @@ def test_try_candidate_rejects_repeated_vertex_ring_face():
     adj = build_adjacency(mesh)
     assert (adj.neighbors[-1] == NONE).all() and not validate_mesh(mesh).ok
     state = pooling._PassState(mesh, adj)
-    assert not state.settled[0]
+    # the border slots make a a border vertex, which settles face 0; the
+    # walk never tries it, but try_candidate does not read settled
+    assert state.settled[0]
     assert state.try_candidate(0) is None
     # the self-loop x -> x also reads as a duplicate face, so the result
     # changes only when both tests are dropped
@@ -599,6 +601,25 @@ def test_pool_to_target_noop():
     out = pool_to_target(mesh, adj, np.zeros((20, 2)), 20)
     assert out.pass_count == 0
     assert np.array_equal(out.mesh.faces, mesh.faces)
+    assert out.adjacency is adj
+
+
+def test_pool_to_target_builds_adjacency_on_first_read(monkeypatch):
+    # the second pass reads the first one's output; nothing reads the
+    # last one's until the caller does, and then it is built once
+    built = []
+    monkeypatch.setattr(pooling, "build_adjacency",
+                        lambda mesh: built.append(mesh) or build_adjacency(mesh))
+    mesh = icosphere(3)
+    adj, feats = _desc_features(mesh)
+    out = pool_to_target(mesh, adj, feats, mesh.num_faces // 4)
+    assert out.pass_count >= 2 and len(built) == out.pass_count - 1
+    assert all(m is not out.mesh for m in built)
+    assert out.adjacency is out.adjacency and built[-1] is out.mesh
+    assert len(built) == out.pass_count
+    full = build_adjacency(out.mesh)
+    assert np.array_equal(out.adjacency.neighbors, full.neighbors)
+    assert np.array_equal(out.adjacency.shared_edges, full.shared_edges)
 
 
 def test_icosphere_320_halving(rng):
@@ -663,10 +684,28 @@ def test_pool_bordered_keeps_topology_property(data):
     drop = data.draw(st.lists(st.integers(0, mesh.num_faces - 1),
                               min_size=1, max_size=3, unique=True))
     mesh = Mesh(mesh.vertices, np.delete(mesh.faces, drop, axis=0))
+    _assert_pool_keeps_border(mesh, rng.integers(0, 3, size=(mesh.num_faces, 2)).astype(float))
+
+
+def test_pool_bordered_keeps_topology_seed581():
+    # a quad hole 0-1-5-3 whose opposite corners 1 and 3 are vertices of
+    # one face: collapsing it merged them, which pinched the hole into two
+    # loops that closed up, leaving no border and chi 1
+    rng = np.random.default_rng(581)
+    mesh = jitter_mesh(torus(6, 4), rng)
+    mesh = flip_edges(mesh, rng, mesh.num_faces // 4)
+    mesh = Mesh(mesh.vertices, np.delete(mesh.faces, [0, 1], axis=0))
+    assert mesh.num_faces == 46 and validate_mesh(mesh).border_edges == 4
+    assert euler_characteristic(mesh) == -1
+    _assert_pool_keeps_border(mesh, rng.integers(0, 3, size=(46, 2)).astype(float))
+
+
+def _assert_pool_keeps_border(mesh, feats):
+    """Pooling to F/2 and F/4 gives a valid mesh with the input's border
+    edge count and Euler characteristic; a stall is allowed."""
     before = validate_mesh(mesh)
     chi = euler_characteristic(mesh)
     adj = build_adjacency(mesh)
-    feats = rng.integers(0, 3, size=(mesh.num_faces, 2)).astype(float)
     for target in (mesh.num_faces // 2, mesh.num_faces // 4):
         out = pool_to_target(mesh, adj, feats, max(4, target))
         report = validate_mesh(out.mesh)
