@@ -379,8 +379,9 @@ def test_try_candidate_rejects_repeated_vertex_ring_face():
     adj = build_adjacency(mesh)
     assert (adj.neighbors[-1] == NONE).all() and not validate_mesh(mesh).ok
     state = pooling._PassState(mesh, adj)
-    # the border slots make a a border vertex, which settles face 0; the
-    # walk never tries it, but try_candidate does not read settled
+    # vertex a ends a border slot of (a, x, x), so face 0, which holds
+    # it, is settled; the walk skips it, but try_candidate does not read
+    # settled
     assert state.settled[0]
     assert state.try_candidate(0) is None
     # the self-loop x -> x also reads as a duplicate face, so the result
